@@ -93,8 +93,10 @@ fuzz-smoke:
 # One-iteration run of the prepared-operand reuse benchmark: exercises the
 # Preshard/ContractPrepared path end to end (the warm iterations assert
 # Stats.Build == 0 and ShardReused) without paying full benchmark time.
+# Then one iteration of the output-path benchmark.
 bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
+	$(GO) test -bench=OutputPath -benchtime=1x -run=^$$ ./internal/core
 	$(GO) run ./cmd/fastcc-bench -exp buildscale -scale-frostt 0.0005 -repeats 1 -threads 2 -platform desktop8 > /dev/null
 
 # Regenerate the checked-in BENCH_buildscale.json: Build-phase wall time

@@ -9,7 +9,7 @@
 //
 // On SIGINT/SIGTERM the daemon stops accepting requests, drains in-flight
 // contractions, drops all server state and exits 0 only if the shard-cache
-// and output-chunk leak gauges returned to their startup baseline — so a
+// and drain-segment leak gauges returned to their startup baseline — so a
 // clean shutdown doubles as a leak check (make serve-smoke relies on it).
 package main
 

@@ -95,7 +95,11 @@ type Stats struct {
 
 	// Phase timings. Total = Linearize + Build + Contract + Concat +
 	// Delinearize; linearization and delinearization are included in the
-	// measured time exactly as in the paper.
+	// measured time exactly as in the paper. Contract includes each tile
+	// task's drain into its worker's segment; Concat is the prefix sum over
+	// the tasks' drained counts that sizes and allocates the result;
+	// Delinearize is the parallel pass that writes the result's values and
+	// coordinates.
 	Linearize   time.Duration
 	Build       time.Duration
 	Contract    time.Duration

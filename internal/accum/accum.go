@@ -6,17 +6,55 @@
 // model in internal/model decides which to instantiate.
 package accum
 
+import "slices"
+
 // Accumulator accumulates contributions to one output tile and then drains
 // its nonzeros. Implementations are reused across tile tasks via Reset.
 // Intra-tile indices l and r satisfy l < TL, r < TR.
 type Accumulator interface {
 	// Upsert adds v to position (l, r) — WS.upsert of Algorithm 4.
 	Upsert(l, r uint32, v float64)
-	// Drain visits every nonzero position exactly once, in unspecified
-	// order, and leaves the accumulator empty and reusable.
-	Drain(fn func(l, r uint32, v float64))
+	// Drain appends every nonzero position to seg exactly once, in the
+	// order the positions were first touched, and leaves the accumulator
+	// empty and reusable.
+	Drain(seg *Segment)
 	// Len returns the number of distinct touched positions.
 	Len() int
 	// Reset empties the accumulator without draining.
 	Reset()
+}
+
+// Segment is a flat, structure-of-arrays run of drained tile nonzeros:
+// element k sits at tile-relative position (L[k], R[k]) with value V[k].
+// A worker keeps one segment across all its tile tasks — each task's drain
+// appends a contiguous range — and across runs, so the storage is reused.
+type Segment struct {
+	L, R []uint32
+	V    []float64
+}
+
+// Len returns the number of elements in the segment.
+func (s *Segment) Len() int { return len(s.V) }
+
+// Reset empties the segment, keeping its storage.
+func (s *Segment) Reset() {
+	s.L, s.R, s.V = s.L[:0], s.R[:0], s.V[:0]
+}
+
+// CapBytes returns the byte size of the segment's storage.
+func (s *Segment) CapBytes() int { return 4*(cap(s.L)+cap(s.R)) + 8*cap(s.V) }
+
+// Append adds one element.
+func (s *Segment) Append(l, r uint32, v float64) {
+	s.L, s.R, s.V = append(s.L, l), append(s.R, r), append(s.V, v)
+}
+
+// extend lengthens the segment by n elements and returns the new tails for
+// the caller to fill.
+func (s *Segment) extend(n int) (ls, rs []uint32, vs []float64) {
+	at := len(s.V)
+	s.L = slices.Grow(s.L, n)[:at+n]
+	s.R = slices.Grow(s.R, n)[:at+n]
+	s.V = slices.Grow(s.V, n)[:at+n]
+	return s.L[at:], s.R[at:], s.V[at:]
 }

@@ -27,7 +27,7 @@ func exerciseAgainstMap(t *testing.T, a Accumulator, tl, tr uint32, seed int64) 
 			t.Fatalf("round %d: Len=%d want %d", round, a.Len(), len(model))
 		}
 		got := map[[2]uint32]float64{}
-		a.Drain(func(l, r uint32, v float64) {
+		drain(a, func(l, r uint32, v float64) {
 			k := [2]uint32{l, r}
 			if _, dup := got[k]; dup {
 				t.Fatalf("round %d: position (%d,%d) drained twice", round, l, r)
@@ -75,7 +75,7 @@ func TestDenseResetClearsState(t *testing.T) {
 	}
 	d.Upsert(1, 2, 7)
 	seen := 0
-	d.Drain(func(l, r uint32, v float64) {
+	drain(d, func(l, r uint32, v float64) {
 		seen++
 		if l != 1 || r != 2 || v != 7 {
 			t.Fatalf("stale value: (%d,%d)=%g", l, r, v)
@@ -93,7 +93,7 @@ func TestDenseDrainIsNNZProportional(t *testing.T) {
 	d.Upsert(1023, 1023, 2)
 	d.Upsert(512, 1, 3)
 	count := 0
-	d.Drain(func(_, _ uint32, _ float64) { count++ })
+	drain(d, func(_, _ uint32, _ float64) { count++ })
 	if count != 3 {
 		t.Fatalf("drained %d", count)
 	}
@@ -106,7 +106,7 @@ func TestDenseCornerPositions(t *testing.T) {
 	d.Upsert(0, 7, 3)
 	d.Upsert(7, 0, 4)
 	got := map[[2]uint32]float64{}
-	d.Drain(func(l, r uint32, v float64) { got[[2]uint32{l, r}] = v })
+	drain(d, func(l, r uint32, v float64) { got[[2]uint32{l, r}] = v })
 	want := map[[2]uint32]float64{{0, 0}: 1, {7, 7}: 2, {0, 7}: 3, {7, 0}: 4}
 	for k, v := range want {
 		if got[k] != v {
@@ -121,7 +121,7 @@ func TestSparseLargeIndices(t *testing.T) {
 	s.Upsert(1<<20, 1<<21, 0.5)
 	s.Upsert(0, 1<<21, 1)
 	found := map[[2]uint32]float64{}
-	s.Drain(func(l, r uint32, v float64) { found[[2]uint32{l, r}] = v })
+	drain(s, func(l, r uint32, v float64) { found[[2]uint32{l, r}] = v })
 	if found[[2]uint32{1 << 20, 1 << 21}] != 2.0 || found[[2]uint32{0, 1 << 21}] != 1 {
 		t.Fatalf("got %v", found)
 	}
@@ -145,8 +145,8 @@ func TestAccumulatorEquivalenceProperty(t *testing.T) {
 		}
 		dm := map[[2]uint32]float64{}
 		sm := map[[2]uint32]float64{}
-		d.Drain(func(l, r uint32, v float64) { dm[[2]uint32{l, r}] = v })
-		s.Drain(func(l, r uint32, v float64) { sm[[2]uint32{l, r}] = v })
+		drain(d, func(l, r uint32, v float64) { dm[[2]uint32{l, r}] = v })
+		drain(s, func(l, r uint32, v float64) { sm[[2]uint32{l, r}] = v })
 		if len(dm) != len(sm) {
 			return false
 		}
@@ -203,7 +203,7 @@ func TestScatterMatchesUpsert(t *testing.T) {
 
 		drain := func(a Accumulator) map[[2]uint32]float64 {
 			m := map[[2]uint32]float64{}
-			a.Drain(func(l, r uint32, v float64) { m[[2]uint32{l, r}] = v })
+			drain(a, func(l, r uint32, v float64) { m[[2]uint32{l, r}] = v })
 			return m
 		}
 		for _, cmp := range []struct {
@@ -247,7 +247,7 @@ func TestSparseGrowthDrainOrdering(t *testing.T) {
 		t.Fatalf("Len=%d want %d", s.Len(), len(model))
 	}
 	got := map[[2]uint32]float64{}
-	s.Drain(func(l, r uint32, v float64) {
+	drain(s, func(l, r uint32, v float64) {
 		k := [2]uint32{l, r}
 		if _, dup := got[k]; dup {
 			t.Fatalf("position (%d,%d) drained twice after growth", l, r)
@@ -271,7 +271,7 @@ func TestSparseGrowthDrainOrdering(t *testing.T) {
 	if s.Grows() != growsAfter {
 		t.Fatalf("refill after drain grew the table again (%d -> %d)", growsAfter, s.Grows())
 	}
-	s.Drain(func(l, r uint32, v float64) {
+	drain(s, func(l, r uint32, v float64) {
 		if v != 2 {
 			t.Fatalf("stale accumulation at (%d,%d): %g", l, r, v)
 		}
@@ -294,8 +294,8 @@ func TestScatterMatchesAcrossGrowth(t *testing.T) {
 		t.Fatalf("Len %d vs %d, grows=%d (expected mid-scatter growth)", ref.Len(), krn.Len(), krn.Grows())
 	}
 	rm := map[[2]uint32]float64{}
-	ref.Drain(func(l, r uint32, v float64) { rm[[2]uint32{l, r}] = v })
-	krn.Drain(func(l, r uint32, v float64) {
+	drain(ref, func(l, r uint32, v float64) { rm[[2]uint32{l, r}] = v })
+	drain(krn, func(l, r uint32, v float64) {
 		if rm[[2]uint32{l, r}] != v {
 			t.Fatalf("(%d,%d)=%g want %g", l, r, v, rm[[2]uint32{l, r}])
 		}
@@ -340,14 +340,59 @@ func TestSparseRobinMatchesSparse(t *testing.T) {
 	}
 	am := map[[2]uint32]float64{}
 	bm := map[[2]uint32]float64{}
-	a.Drain(func(l, r uint32, v float64) { am[[2]uint32{l, r}] = v })
-	b.Drain(func(l, r uint32, v float64) { bm[[2]uint32{l, r}] = v })
+	drain(a, func(l, r uint32, v float64) { am[[2]uint32{l, r}] = v })
+	drain(b, func(l, r uint32, v float64) { bm[[2]uint32{l, r}] = v })
 	if len(am) != len(bm) {
 		t.Fatalf("lens %d vs %d", len(am), len(bm))
 	}
 	for k, v := range am {
 		if bm[k] != v {
 			t.Fatalf("disagree at %v: %g vs %g", k, v, bm[k])
+		}
+	}
+}
+
+// drain drains a into a fresh segment and visits its elements in order.
+func drain(a Accumulator, fn func(l, r uint32, v float64)) {
+	var seg Segment
+	a.Drain(&seg)
+	for k := range seg.V {
+		fn(seg.L[k], seg.R[k], seg.V[k])
+	}
+}
+
+// TestDrainFirstTouchOrder pins the order contract the engine's
+// deterministic output rests on: both accumulators drain in first-touch
+// order, the sparse table's order does not depend on the capacity an
+// earlier task grew it to, and a drain appends behind what the segment
+// already holds.
+func TestDrainFirstTouchOrder(t *testing.T) {
+	touches := [][2]uint32{{5, 1}, {0, 3}, {5, 1}, {7, 0}, {2, 2}, {0, 3}, {1, 1}}
+	want := [][2]uint32{{5, 1}, {0, 3}, {7, 0}, {2, 2}, {1, 1}}
+	wantV := []float64{2, 2, 1, 1, 1}
+	grown := NewSparse(0)
+	for i := uint32(0); i < 1000; i++ {
+		grown.Upsert(i, i, 1)
+	}
+	grown.Reset()
+	for name, a := range map[string]Accumulator{"dense": NewDense(8, 4), "sparse": NewSparse(0), "sparse/grown": grown} {
+		var seg Segment
+		seg.Append(9, 9, -1) // an earlier task's output stays in front
+		for _, p := range touches {
+			a.Upsert(p[0], p[1], 1)
+		}
+		a.Drain(&seg)
+		if seg.Len() != 1+len(want) || seg.V[0] != -1 {
+			t.Fatalf("%s: segment holds %d elements (front %g), want %d behind the earlier one", name, seg.Len(), seg.V[0], len(want))
+		}
+		for k, p := range want {
+			if seg.L[k+1] != p[0] || seg.R[k+1] != p[1] || seg.V[k+1] != wantV[k] {
+				t.Fatalf("%s: element %d = (%d,%d)=%g, want (%d,%d)=%g", name, k,
+					seg.L[k+1], seg.R[k+1], seg.V[k+1], p[0], p[1], wantV[k])
+			}
+		}
+		if a.Len() != 0 {
+			t.Fatalf("%s: Len=%d after drain", name, a.Len())
 		}
 	}
 }

@@ -106,15 +106,18 @@ func (d *Dense) ScatterMatches(ms []Match) {
 // Len returns the number of active positions.
 func (d *Dense) Len() int { return len(d.apos) }
 
-// Drain visits active positions via apos (nnz-proportional, per Section
-// 4.2's "parallel drain"), then resets the touched state in the same pass.
+// Drain appends the active positions to seg via apos (nnz-proportional,
+// per Section 4.2's "parallel drain"), in first-touch order, then resets the
+// touched state in the same pass.
 //
 //fastcc:hotpath
-func (d *Dense) Drain(fn func(l, r uint32, v float64)) {
-	for _, p := range d.apos {
-		fn(p>>d.logTR, p&d.maskR, d.vals[p])
-		d.vals[p] = 0
-		d.bm[p>>6] &^= 1 << (p & 63)
+func (d *Dense) Drain(seg *Segment) {
+	ls, rs, vs := seg.extend(len(d.apos))
+	vals, bm, logTR, maskR := d.vals, d.bm, d.logTR, d.maskR
+	for k, p := range d.apos {
+		ls[k], rs[k], vs[k] = p>>logTR, p&maskR, vals[p]
+		vals[p] = 0
+		bm[p>>6] &^= 1 << (p & 63)
 	}
 	d.apos = d.apos[:0]
 }

@@ -49,11 +49,18 @@ func (s *Sparse) ScatterMatches(ms []Match) {
 // Len returns the number of distinct touched positions.
 func (s *Sparse) Len() int { return s.t.Len() }
 
-// Drain visits all entries then resets the table for reuse.
-func (s *Sparse) Drain(fn func(l, r uint32, v float64)) {
-	s.t.ForEach(func(k uint64, v float64) {
-		fn(uint32(k>>32), uint32(k), v)
-	})
+// Drain appends all entries to seg in first-touch order — fixed by the
+// upsert sequence, not by the table capacity earlier tasks grew it to —
+// then resets the table for reuse.
+//
+//fastcc:hotpath
+func (s *Sparse) Drain(seg *Segment) {
+	order, slots := s.t.Entries()
+	ls, rs, vs := seg.extend(len(order))
+	for k, slot := range order {
+		e := slots[slot]
+		ls[k], rs[k], vs[k] = uint32(e.Key>>32), uint32(e.Key), e.Val
+	}
 	s.t.Reset()
 }
 
@@ -86,10 +93,12 @@ func (s *SparseRobin) Upsert(l, r uint32, v float64) {
 // Len returns the number of distinct touched positions.
 func (s *SparseRobin) Len() int { return s.t.Len() }
 
-// Drain visits all entries then resets the table for reuse.
-func (s *SparseRobin) Drain(fn func(l, r uint32, v float64)) {
+// Drain appends all entries to seg then resets the table for reuse. The
+// Robin Hood table is an ablation, so its drain keeps the table's own
+// visiting order.
+func (s *SparseRobin) Drain(seg *Segment) {
 	s.t.ForEach(func(k uint64, v float64) {
-		fn(uint32(k>>32), uint32(k), v)
+		seg.Append(uint32(k>>32), uint32(k), v)
 	})
 	s.t.Reset()
 }

@@ -38,23 +38,62 @@ func BenchmarkMatrixize100k(b *testing.B) {
 	}
 }
 
-func BenchmarkFromPairsP100k(b *testing.B) {
+// BenchmarkRadixDecode100k decodes 100k tile-relative offsets of an
+// order-3 side, the engine's per-coordinate output cost.
+func BenchmarkRadixDecode100k(b *testing.B) {
 	n := 100_000
 	rng := rand.New(rand.NewSource(2))
-	ls := make([]uint64, n)
-	rs := make([]uint64, n)
-	vs := make([]float64, n)
-	for i := range vs {
-		ls[i] = rng.Uint64() % (1 << 20)
-		rs[i] = rng.Uint64() % (1 << 20)
-		vs[i] = 1
+	offs := make([]uint32, n)
+	for i := range offs {
+		offs[i] = uint32(rng.Intn(1 << 16))
 	}
-	lDims := []uint64{1 << 10, 1 << 10}
-	rDims := []uint64{1 << 10, 1 << 10}
+	dims := []uint64{1 << 10, 1000, 1 << 10}
+	x, err := NewRadix(dims)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([][]uint64, len(dims))
+	for m := range dst {
+		dst[m] = make([]uint64, n)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := FromPairsP(ls, rs, vs, lDims, rDims, 0); err != nil {
-			b.Fatal(err)
-		}
+		x.DecodeOffsets(dst, 0, 1<<19, offs)
 	}
+}
+
+// BenchmarkTileDecode compares the two decode paths on a run of 100k
+// offsets into one 512-wide tile of an order-3 side (chicago-0's output
+// tile shape): TileDecoder's per-tile lookup table against the
+// multiply-high arithmetic it falls back to on wide tiles and short runs.
+func BenchmarkTileDecode(b *testing.B) {
+	const n, side = 100_000, 512
+	rng := rand.New(rand.NewSource(2))
+	offs := make([]uint32, n)
+	for i := range offs {
+		offs[i] = uint32(rng.Intn(side))
+	}
+	dims := []uint64{24, 77, 19}
+	x, err := NewRadix(dims)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([][]uint64, len(dims))
+	for m := range dst {
+		dst[m] = make([]uint64, n)
+	}
+	const base = 40 * side
+	b.Run("table", func(b *testing.B) {
+		d := x.NewTileDecoder()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.Decode(dst, 0, base, side, offs)
+		}
+	})
+	b.Run("multiply-high", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			x.DecodeOffsets(dst, 0, base, offs)
+		}
+	})
 }

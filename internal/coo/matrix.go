@@ -14,6 +14,11 @@ type Matrix struct {
 	ExtDim uint64 // extent of the linearized external index space
 	CtrDim uint64 // extent of the linearized contraction index space
 
+	// ExtDims are the extents of the external modes Ext linearizes, most
+	// significant first: the output modes this operand contributes. Nil
+	// means the single extent ExtDim.
+	ExtDims []uint64
+
 	ck checkedMatrix // content stamp; zero-sized unless built with fastcc_checked
 }
 
@@ -132,11 +137,12 @@ func (t *Tensor) Matrixize(extModes, ctrModes []int) (*Matrix, error) {
 		return nil, err
 	}
 	return &Matrix{
-		Ext:    ext,
-		Ctr:    ctr,
-		Val:    t.Vals, // shared: views do not own values
-		ExtDim: extSize,
-		CtrDim: ctrSize,
+		Ext:     ext,
+		Ctr:     ctr,
+		Val:     t.Vals, // shared: views do not own values
+		ExtDim:  extSize,
+		CtrDim:  ctrSize,
+		ExtDims: extDims,
 	}, nil
 }
 

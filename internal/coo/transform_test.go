@@ -153,44 +153,6 @@ func TestModeHistogram(t *testing.T) {
 	}
 }
 
-func TestFromPairsPMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	n := 1 << 15 // above the parallel threshold
-	ls := make([]uint64, n)
-	rs := make([]uint64, n)
-	vs := make([]float64, n)
-	lDims := []uint64{50, 40}
-	rDims := []uint64{30, 20, 10}
-	for i := range vs {
-		ls[i] = rng.Uint64() % 2000
-		rs[i] = rng.Uint64() % 6000
-		vs[i] = float64(rng.Intn(9) + 1)
-	}
-	seq, err := FromPairs(ls, rs, vs, lDims, rDims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := FromPairsP(ls, rs, vs, lDims, rDims, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(seq, par) {
-		t.Fatal("parallel delinearize disagrees with sequential")
-	}
-	// Small inputs fall back to the sequential path.
-	small, err := FromPairsP(ls[:10], rs[:10], vs[:10], lDims, rDims, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqSmall, _ := FromPairs(ls[:10], rs[:10], vs[:10], lDims, rDims)
-	if !Equal(small, seqSmall) {
-		t.Fatal("small-input fallback wrong")
-	}
-	if _, err := FromPairsP(ls[:5], rs[:4], vs[:5], lDims, rDims, 4); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestToDenseFromDenseRoundTrip(t *testing.T) {
 	a := mkTensor(t, []uint64{2, 3},
 		[][]uint64{{0, 1}, {1, 2}, {0, 1}}, []float64{1, 2, 3}) // dup at (0,1)

@@ -30,17 +30,13 @@ func TestContractRaggedLastTile(t *testing.T) {
 		r.Ctr = append(r.Ctr, e%3)
 		r.Val = append(r.Val, float64(e+2))
 	}
-	out, st, err := Contract(l, r, Config{Threads: 3, TileL: 32, TileR: 32})
+	got, st, err := Contract(l, r, Config{Threads: 3, TileL: 32, TileR: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.NL != 4 || st.NR != 3 {
 		t.Fatalf("grid %dx%d want 4x3", st.NL, st.NR)
 	}
-	var ls, rs []uint64
-	var vs []float64
-	out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-	got := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
 	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
 	if !coo.Equal(got, want) {
 		t.Fatal("ragged tiling broke seam elements")
@@ -52,17 +48,13 @@ func TestContractTileLargerThanExtent(t *testing.T) {
 	l := randomMatrix(rng, 10, 5, 30)
 	r := randomMatrix(rng, 10, 5, 30)
 	// A tile far larger than either extent: one task, full contraction.
-	out, st, err := Contract(l, r, Config{Threads: 2, TileL: 1 << 12, TileR: 1 << 12, Accum: model.AccumSparse})
+	got, st, err := Contract(l, r, Config{Threads: 2, TileL: 1 << 12, TileR: 1 << 12, Accum: model.AccumSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.NL != 1 || st.NR != 1 || st.Tasks > 1 {
 		t.Fatalf("grid %dx%d tasks=%d", st.NL, st.NR, st.Tasks)
 	}
-	var ls, rs []uint64
-	var vs []float64
-	out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-	got := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
 	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
 	if !coo.Equal(got, want) {
 		t.Fatal("single-tile contraction wrong")
@@ -74,14 +66,10 @@ func TestContractExtremeAspectTiles(t *testing.T) {
 	l := randomMatrix(rng, 128, 16, 400)
 	r := randomMatrix(rng, 128, 16, 400)
 	for _, tile := range [][2]uint64{{1, 128}, {128, 1}, {2, 64}} {
-		out, _, err := Contract(l, r, Config{Threads: 2, TileL: tile[0], TileR: tile[1]})
+		got, _, err := Contract(l, r, Config{Threads: 2, TileL: tile[0], TileR: tile[1]})
 		if err != nil {
 			t.Fatalf("tile %v: %v", tile, err)
 		}
-		var ls, rs []uint64
-		var vs []float64
-		out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-		got := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
 		want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
 		if !coo.Equal(got, want) {
 			t.Fatalf("tile %v wrong", tile)
@@ -95,17 +83,13 @@ func TestContractNonPow2TileWithSparseAccum(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	l := randomMatrix(rng, 90, 11, 300)
 	r := randomMatrix(rng, 77, 11, 300)
-	out, st, err := Contract(l, r, Config{Threads: 2, TileL: 30, TileR: 21, Accum: model.AccumSparse})
+	got, st, err := Contract(l, r, Config{Threads: 2, TileL: 30, TileR: 21, Accum: model.AccumSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.NL != 3 || st.NR != 4 {
 		t.Fatalf("grid %dx%d", st.NL, st.NR)
 	}
-	var ls, rs []uint64
-	var vs []float64
-	out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-	got := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
 	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
 	if !coo.Equal(got, want) {
 		t.Fatal("non-pow2 sparse tiling wrong")
@@ -119,10 +103,10 @@ func TestContractManyMoreThreadsThanTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 {
-		t.Fatalf("nnz=%d", out.Len())
+	if out.NNZ() != 1 {
+		t.Fatalf("nnz=%d", out.NNZ())
 	}
-	out.ForEach(func(tr Triple) {
+	forEachElem(out, func(tr elem) {
 		if tr.L != 0 || tr.R != 1 || tr.V != 6 {
 			t.Fatalf("got (%d,%d)=%g", tr.L, tr.R, tr.V)
 		}
@@ -137,11 +121,11 @@ func TestContractSingleC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 6 {
-		t.Fatalf("outer product nnz=%d want 6", out.Len())
+	if out.NNZ() != 6 {
+		t.Fatalf("outer product nnz=%d want 6", out.NNZ())
 	}
 	sum := 0.0
-	out.ForEach(func(tr Triple) { sum += tr.V })
+	forEachElem(out, func(tr elem) { sum += tr.V })
 	if sum != (1+2+3)*(10+100) {
 		t.Fatalf("sum=%g", sum)
 	}
@@ -155,7 +139,7 @@ func TestContractDuplicateInputCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.ForEach(func(tr Triple) {
+	forEachElem(out, func(tr elem) {
 		if tr.V != 20 {
 			t.Fatalf("duplicate accumulation wrong: %g", tr.V)
 		}
@@ -171,12 +155,8 @@ func TestSortedRepMatchesHashRep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ls, rs []uint64
-		var vs []float64
-		out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-		tn := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
-		tn.Sort()
-		return tn
+		out.Sort()
+		return out
 	}
 	h := collect(RepHash)
 	s := collect(RepSorted)
@@ -193,17 +173,13 @@ func TestSortedRepWithSparseAccumAndRaggedTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	l := randomMatrix(rng, 97, 13, 700)
 	r := randomMatrix(rng, 83, 13, 600)
-	out, stc, err := Contract(l, r, Config{Threads: 2, TileL: 30, TileR: 41, Accum: model.AccumSparse, Rep: RepSorted})
+	got, stc, err := Contract(l, r, Config{Threads: 2, TileL: 30, TileR: 41, Accum: model.AccumSparse, Rep: RepSorted})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stc.NL != 4 || stc.NR != 3 {
 		t.Fatalf("grid %dx%d", stc.NL, stc.NR)
 	}
-	var ls, rs []uint64
-	var vs []float64
-	out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-	got := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
 	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
 	if !coo.Equal(got, want) {
 		t.Fatal("sorted rep + sparse accum wrong")

@@ -12,8 +12,8 @@
 //   - plan: run the probabilistic model and resolve tile sizes (Algorithm 7);
 //   - build: fetch or construct each operand's tile shard (Algorithm 5),
 //     memoized per Operand under the ShardKey compatibility contract;
-//   - execute: run the tile-task contraction, accumulate, drain, concat
-//     (Algorithm 6).
+//   - execute: run the tile-task contraction, accumulate, drain (Algorithm
+//     6), and write the output tensor.
 package core
 
 import (
@@ -22,17 +22,10 @@ import (
 	"time"
 
 	"fastcc/internal/coo"
-	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 	"fastcc/internal/scheduler"
 )
-
-// Triple is one output nonzero in matrixized coordinates.
-type Triple struct {
-	L, R uint64
-	V    float64
-}
 
 // Config controls one contraction run. The zero value asks for model-chosen
 // tiles and accumulator on the Auto platform with GOMAXPROCS workers.
@@ -110,34 +103,24 @@ type Stats struct {
 	// served from an Operand's cache instead of being built; BuildTime is
 	// zero when both are true.
 	ShardReusedL, ShardReusedR bool
-	// Phase timings (the paper's four steps; drain time is inside Contract).
-	BuildTime    time.Duration
-	ContractTime time.Duration
-	ConcatTime   time.Duration
+	// Phase timings (the paper's four steps; drain time is inside
+	// Contract). ConcatTime is the prefix sum over the tasks' drained
+	// counts that sizes and allocates the result; DelinearizeTime is the
+	// parallel pass that writes its values and coordinates.
+	BuildTime       time.Duration
+	ContractTime    time.Duration
+	ConcatTime      time.Duration
+	DelinearizeTime time.Duration
 }
-
-// outputChunks recycles the chunk storage of output triple lists across
-// runs; RecycleOutput returns a consumed run's chunks here.
-var outputChunks = mempool.NewChunkCache[Triple](0)
-
-// accKey is the accumulator-shape compatibility key for worker recycling.
-type accKey struct {
-	kind   model.AccumKind
-	tl, tr uint64
-}
-
-// workerFree parks per-worker accumulators between runs so repeated
-// contractions with the same tile shape stop reallocating tile-sized
-// buffers.
-var workerFree = mempool.NewFreelist[accKey, *worker](0)
 
 // Contract runs the tiled-CO contraction O[l,r] = Σ_c L[l,c]·R[c,r] on
-// matrixized operands and returns the output as a concatenated chunk list
-// of triples. The operands are sharded transiently — the shards are dropped
-// before returning, so one-shot contractions leave nothing charged to the
-// shard cache; callers that contract the same operand repeatedly should
-// wrap it once with NewOperand and use ContractOperands.
-func Contract(l, r *coo.Matrix, cfg Config) (*mempool.List[Triple], *Stats, error) {
+// matrixized operands and returns the output tensor, its modes the left
+// operand's ExtDims followed by the right operand's. The operands are
+// sharded transiently — the shards are dropped before returning, so
+// one-shot contractions leave nothing charged to the shard cache; callers
+// that contract the same operand repeatedly should wrap it once with
+// NewOperand and use ContractOperands.
+func Contract(l, r *coo.Matrix, cfg Config) (*coo.Tensor, *Stats, error) {
 	lo := NewOperand(l)
 	ro := lo
 	if r != l {
@@ -154,7 +137,7 @@ func Contract(l, r *coo.Matrix, cfg Config) (*mempool.List[Triple], *Stats, erro
 // Build phase is skipped when the operand already holds a shard compatible
 // with this run's plan (same tile side and representation). Passing the
 // same *Operand on both sides of a self-contraction shards it exactly once.
-func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats, error) {
+func ContractOperands(l, r *Operand, cfg Config) (*coo.Tensor, *Stats, error) {
 	if cfg.Platform == (model.Platform{}) {
 		cfg.Platform = model.Auto()
 	}
@@ -168,6 +151,14 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 	st := &Stats{Threads: threads}
 
 	dec, err := plan(l.Mat, r.Mat, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	outL, err := outputRadix(l.Mat)
+	if err != nil {
+		return nil, nil, err
+	}
+	outR, err := outputRadix(r.Mat)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,7 +200,7 @@ func ContractOperands(l, r *Operand, cfg Config) (*mempool.List[Triple], *Stats,
 		return nil, nil, canceled(err)
 	}
 
-	return execute(ls, rs, dec, threads, cfg, st)
+	return execute(ls, rs, dec, threads, cfg, st, outL, outR)
 }
 
 // canceled wraps a context error so callers can errors.Is against
@@ -299,10 +290,10 @@ func buildShards(l, r *Operand, keyL, keyR ShardKey, threads int, st *Stats) (ls
 	return ls, rs, builtL, builtR
 }
 
-// execute runs the tile-task contraction over two built shards: steps 2-4
-// of the paper's pipeline (contract, accumulate, drain) plus the final
-// concatenation by reference.
-func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Stats) (*mempool.List[Triple], *Stats, error) {
+// execute runs the tile-task contraction over two built shards — steps 2-4
+// of the paper's pipeline (contract, accumulate, drain) — and writes the
+// output tensor, decoding through outL/outR.
+func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Stats, outL, outR *coo.Radix) (*coo.Tensor, *Stats, error) {
 	tl, tr := dec.TileL, dec.TileR
 	nonEmptyL := ls.NonEmpty()
 	nonEmptyR := rs.NonEmpty()
@@ -310,10 +301,17 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	st.Tasks = nL * nR
 
 	t0 := time.Now()
-	pools := make([]*mempool.Pool[Triple], threads)
-	workers := make([]*worker, threads)
 	wkey := accKey{kind: dec.Kind, tl: tl, tr: tr}
+	workers := make([]*worker, threads)
+	// Every worker taken below goes back to the freelist when the run ends,
+	// after the output pass has read its segment (or on cancellation); a
+	// panic out of the task loop leaves finished false and drops them.
+	finished := false
+	defer func() { parkWorkers(wkey, workers, finished) }()
 	sparseHint := tileNNZHint(dec, tl, tr)
+	// spans[t] locates task t's drained nonzeros; t = ii*nR + jj numbers
+	// the non-empty task grid row-major, the order the output is laid out in.
+	spans := make([]taskSpan, st.Tasks)
 
 	// LLC-blocked schedule: the nL×nR task grid is cut into BL×BR
 	// super-blocks sized so one block's input panels fit in a worker share
@@ -351,17 +349,8 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	err := scheduler.PoolCtxBatchGuarded(ctx, threads, blocksTotal, scheduler.ClaimBatch(blocksTotal, threads), guard, func(w, b int) {
 		wk := workers[w]
 		if wk == nil {
-			if parked, ok := workerFree.Get(wkey); ok {
-				wk = parked
-			} else {
-				wk = newWorker(dec.Kind, tl, tr, sparseHint)
-				// Bind the fresh accumulator to its shape key so a future
-				// Put under any other key is a provenance panic in checked
-				// builds, not a wrong-shaped vend.
-				workerFree.Note(wkey, wk)
-			}
+			wk = takeWorker(wkey, sparseHint)
 			workers[w] = wk
-			pools[w] = outputChunks.NewPool()
 		}
 		bi, bj := b/nbR, b%nbR
 		iEnd, jEnd := (bi+1)*bl, (bj+1)*br
@@ -374,7 +363,6 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 		var tasksDone int64
 		for ii := bi * bl; ii < iEnd; ii++ {
 			i := nonEmptyL[ii]
-			baseL := uint64(i) * tl
 			for jj := bj * br; jj < jEnd; jj++ {
 				// Cancellation is observed at tile-task boundaries even
 				// inside a block, matching the batched claim's latency of
@@ -383,41 +371,30 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 					cfg.Counters.AddKernelTasks(int(dec.Kernel), tasksDone)
 					return
 				}
-				j := nonEmptyR[jj]
-				kern(ls, rs, i, j, baseL, uint64(j)*tr, wk, pools[w], cfg.Counters, probeBatch)
+				start := wk.seg.Len()
+				kern(ls, rs, i, nonEmptyR[jj], wk, cfg.Counters, probeBatch)
+				spans[ii*nR+jj] = taskSpan{seg: start, n: wk.seg.Len() - start, w: int32(w)}
 				tasksDone++
 			}
 		}
 		cfg.Counters.AddKernelTasks(int(dec.Kernel), tasksDone)
 	})
-	// Accumulators drain at the end of every task, so canceled or not they
-	// are empty and safe to park for the next run.
-	for _, wk := range workers {
-		if wk != nil {
-			workerFree.Put(wkey, wk)
-		}
-	}
+	finished = true
 	if err != nil {
-		// Partial output is discarded; hand its chunks straight back.
-		outputChunks.Release(mempool.Concat(pools...))
+		// Partial output is discarded with the segments' contents.
 		return nil, nil, canceled(err)
 	}
 	st.ContractTime = time.Since(t0)
 
-	// Final step: concatenate thread-local lists by pointer movement.
-	t0 = time.Now()
-	out := mempool.Concat(pools...)
-	st.ConcatTime = time.Since(t0)
-	st.OutputNNZ = out.Len()
-	cfg.Counters.AddOutput(int64(out.Len()))
+	out := writeOutput(outputPlan{
+		spans: spans, workers: workers,
+		nonEmptyL: nonEmptyL, nonEmptyR: nonEmptyR,
+		tl: tl, tr: tr, outL: outL, outR: outR,
+	}, threads, st)
+	st.OutputNNZ = out.NNZ()
+	cfg.Counters.AddOutput(int64(out.NNZ()))
 	if dec.Kind == model.AccumDense {
 		cfg.Counters.MaxWorkspace(int64(tl) * int64(tr) * int64(threads))
 	}
 	return out, st, nil
 }
-
-// RecycleOutput returns the chunk storage of a contraction result to the
-// engine's chunk cache so the next run reuses it. Call only after every
-// triple has been copied out of the list; the chunks are overwritten by
-// future runs.
-func RecycleOutput(l *mempool.List[Triple]) { outputChunks.Release(l) }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -24,22 +27,27 @@ func randomMatrix(rng *rand.Rand, extDim, ctrDim uint64, nnz int) *coo.Matrix {
 	return m
 }
 
+// elem is one element of a matrixized (2-mode) result.
+type elem struct {
+	L, R uint64
+	V    float64
+}
+
+// forEachElem visits the elements of a matrixized result in storage order.
+func forEachElem(out *coo.Tensor, fn func(elem)) {
+	for i, v := range out.Vals {
+		fn(elem{L: out.Coords[0][i], R: out.Coords[1][i], V: v})
+	}
+}
+
 // runAndCompare contracts with cfg and checks the result against the map
 // reference. Returns the stats for further assertions.
 func runAndCompare(t *testing.T, l, r *coo.Matrix, cfg Config) *Stats {
 	t.Helper()
-	out, st, err := Contract(l, r, cfg)
+	got, st, err := Contract(l, r, cfg)
 	if err != nil {
 		t.Fatalf("Contract: %v", err)
 	}
-	var ls, rs []uint64
-	var vs []float64
-	out.ForEach(func(tr Triple) {
-		ls = append(ls, tr.L)
-		rs = append(rs, tr.R)
-		vs = append(vs, tr.V)
-	})
-	got := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
 	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
 	if !coo.Equal(got, want) {
 		t.Fatalf("result mismatch: got %d nnz want %d nnz (cfg=%+v)", got.NNZ(), want.NNZ(), cfg)
@@ -66,7 +74,7 @@ func TestContractTinyKnown(t *testing.T) {
 		t.Fatalf("output nnz=%d", st.OutputNNZ)
 	}
 	want := map[[2]uint64]float64{{0, 0}: 14, {0, 1}: 12, {1, 0}: 15, {1, 1}: 18}
-	out.ForEach(func(tr Triple) {
+	forEachElem(out, func(tr elem) {
 		if want[[2]uint64{tr.L, tr.R}] != tr.V {
 			t.Fatalf("(%d,%d)=%g", tr.L, tr.R, tr.V)
 		}
@@ -106,12 +114,8 @@ func TestContractDeterministicAcrossThreads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ls, rs []uint64
-		var vs []float64
-		out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-		tn := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
-		tn.Sort()
-		return tn
+		out.Sort()
+		return out
 	}
 	a, b := collect(1), collect(7)
 	if !coo.Equal(a, b) {
@@ -131,8 +135,8 @@ func TestContractEmptyOperands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 0 || st.OutputNNZ != 0 || st.Tasks != 0 {
-		t.Fatalf("empty contraction produced %d nnz, %d tasks", out.Len(), st.Tasks)
+	if out.NNZ() != 0 || st.OutputNNZ != 0 || st.Tasks != 0 {
+		t.Fatalf("empty contraction produced %d nnz, %d tasks", out.NNZ(), st.Tasks)
 	}
 }
 
@@ -144,8 +148,8 @@ func TestContractDisjointContractionIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("got %d nnz", out.Len())
+	if out.NNZ() != 0 {
+		t.Fatalf("got %d nnz", out.NNZ())
 	}
 }
 
@@ -237,14 +241,10 @@ func TestContractTilingInvarianceProperty(t *testing.T) {
 		r := randomMatrix(rng, extR, ctr, rng.Intn(150))
 		want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), extL, extR)
 		for _, tile := range []uint64{1, 4, 16, 512} {
-			out, _, err := Contract(l, r, Config{Threads: 3, TileL: tile, TileR: tile})
+			got, _, err := Contract(l, r, Config{Threads: 3, TileL: tile, TileR: tile})
 			if err != nil {
 				return false
 			}
-			var ls, rs []uint64
-			var vs []float64
-			out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-			got := ref.TriplesToMatrixTensor(ls, rs, vs, extL, extR)
 			if !coo.Equal(got, want) {
 				return false
 			}
@@ -270,20 +270,41 @@ func TestModelDrivenRunPicksConfiguredPlatform(t *testing.T) {
 }
 
 // TestContractOutputChunksReturnToBaseline wires the leak-accounting helper
-// into the engine suite: every output chunk Contract vends must come back
-// through RecycleOutput, across both cold and warm runs. A drifting gauge
-// here means a contraction path dropped a List on the floor.
+// into the engine suite: every drain segment a run takes out of the worker
+// freelist must be parked again before the run returns, across cold and
+// warm runs and a canceled one. A drifting gauge here means a contraction
+// path dropped a worker — and its output staging — on the floor.
 func TestContractOutputChunksReturnToBaseline(t *testing.T) {
-	base := testutil.Capture(testutil.Gauge{Name: "output chunks", Read: OutputChunksOutstanding})
+	base := testutil.Capture(testutil.Gauge{Name: "drain segments", Read: DrainSegmentsOutstanding})
 	rng := rand.New(rand.NewSource(77))
 	l := randomMatrix(rng, 120, 40, 900)
 	r := randomMatrix(rng, 150, 40, 900)
 	for i := 0; i < 3; i++ {
-		out, _, err := Contract(l, r, Config{Threads: 3})
-		if err != nil {
+		if _, _, err := Contract(l, r, Config{Threads: 3}); err != nil {
 			t.Fatal(err)
 		}
-		RecycleOutput(out)
+	}
+	// Canceled inside the tile-task loop: the workers holding partial
+	// segments must still be parked.
+	ctx := &cancelAfter{Context: context.Background()}
+	ctx.left.Store(6)
+	_, _, err := Contract(l, r, Config{Threads: 3, TileL: 8, TileR: 8, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancellation: err = %v, want context.Canceled", err)
 	}
 	base.Assert(t)
+}
+
+// cancelAfter reports cancellation from its (left+1)-th Err call on, so a
+// run passes the between-stage checks and is canceled inside execute.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }

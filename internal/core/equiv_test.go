@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,12 +24,8 @@ func collectSorted(t *testing.T, l, r *coo.Matrix, cfg Config) *coo.Tensor {
 	if err != nil {
 		t.Fatalf("Contract(%+v): %v", cfg, err)
 	}
-	var ls, rs []uint64
-	var vs []float64
-	out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-	tn := ref.TriplesToMatrixTensor(ls, rs, vs, l.ExtDim, r.ExtDim)
-	tn.Sort()
-	return tn
+	out.Sort()
+	return out
 }
 
 // tinyLLC forces small super-blocks so the blocked schedule has interior
@@ -116,12 +113,8 @@ func TestShardReuseBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rep=%v: %v", rep, err)
 			}
-			var ls, rs []uint64
-			var vs []float64
-			out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-			tn := ref.TriplesToMatrixTensor(ls, rs, vs, lm.ExtDim, rm.ExtDim)
-			tn.Sort()
-			return tn, st
+			out.Sort()
+			return out, st
 		}
 		cold, coldSt := run()
 		warm, warmSt := run()
@@ -174,12 +167,8 @@ func TestEvictionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			var ls, rs []uint64
-			var vs []float64
-			out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-			tn := ref.TriplesToMatrixTensor(ls, rs, vs, lm.ExtDim, rm.ExtDim)
-			tn.Sort()
-			return tn, st
+			out.Sort()
+			return out, st
 		}
 		cold, _ := run(cfg)
 
@@ -232,7 +221,9 @@ func assertBitIdentical(t *testing.T, what string, want, got *coo.Tensor) {
 // seeds route those evictions through the disk tier (including budgets tiny
 // enough that the spill write itself fails over budget and falls back),
 // so reload, adoption-miss and fallback paths all fuzz under arbitrary
-// non-dividing tile geometry.
+// non-dividing tile geometry. Each representation runs at one and three
+// threads, and the two outputs must match in element order, not just as
+// sets.
 func FuzzContractTiling(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(90), uint16(30), uint16(7), uint16(13), uint16(600), uint16(0), uint16(0))
 	f.Add(int64(2), uint16(257), uint16(129), uint16(17), uint16(16), uint16(16), uint16(900), uint16(0), uint16(0)) // pow2 tiles, odd extents
@@ -286,19 +277,23 @@ func FuzzContractTiling(f *testing.F) {
 		var first *coo.Tensor
 		for _, rep := range []InputRep{RepHash, RepSorted} {
 			// Sparse accumulator: no power-of-two TileR constraint, so every
-			// fuzzed geometry is legal.
-			out, _, err := Contract(l, r, Config{
-				Threads: 3, TileL: tileL, TileR: tileR,
-				Accum: model.AccumSparse, Rep: rep, Platform: tinyLLC,
-				CacheBudget: budget,
-			})
-			if err != nil {
-				t.Fatalf("rep=%v tile=%dx%d: %v", rep, tileL, tileR, err)
+			// fuzzed geometry is legal. The same contraction at one and at
+			// three threads must agree element for element, unsorted.
+			var got *coo.Tensor
+			for _, threads := range []int{1, 3} {
+				out, _, err := Contract(l, r, Config{
+					Threads: threads, TileL: tileL, TileR: tileR,
+					Accum: model.AccumSparse, Rep: rep, Platform: tinyLLC,
+					CacheBudget: budget,
+				})
+				if err != nil {
+					t.Fatalf("rep=%v tile=%dx%d threads=%d: %v", rep, tileL, tileR, threads, err)
+				}
+				if got != nil {
+					assertSameOrder(t, fmt.Sprintf("rep=%v tile=%dx%d threads 1 vs %d", rep, tileL, tileR, threads), got, out)
+				}
+				got = out
 			}
-			var ls, rs []uint64
-			var vs []float64
-			out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-			got := ref.TriplesToMatrixTensor(ls, rs, vs, extL, extR)
 			got.Sort()
 			if !coo.Equal(got, want) {
 				t.Fatalf("rep=%v tile=%dx%d: mismatch vs reference", rep, tileL, tileR)

@@ -5,7 +5,6 @@ import (
 
 	"fastcc/internal/accum"
 	"fastcc/internal/hashtable"
-	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 )
@@ -35,11 +34,10 @@ import (
 // order, same lps-major scatter — so specialized and generic runs agree bit
 // for bit, which the equivalence suite and the hotpath harness both assert.
 
-// tileKernel runs one tile-pair contraction. i/j are tile indices into the
-// shards; baseL/baseR the tiles' global coordinate bases; probeBatch the
-// platform probe depth (hash kernels only).
-type tileKernel func(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int)
+// tileKernel runs one tile-pair contraction and drains the tile's nonzeros,
+// tile-relative, onto the end of the worker's segment. i/j are tile indices
+// into the shards; probeBatch the platform probe depth (hash kernels only).
+type tileKernel func(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int)
 
 // kernelTable maps a resolved model.KernelID to its tile-pair kernel. The
 // KernelAuto slot is nil on purpose: plan() must resolve Auto before
@@ -81,12 +79,11 @@ func resolveKernel(dec *model.Decision, cfg Config) error {
 	return nil
 }
 
-func runGeneric(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, _ int) {
+func runGeneric(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
 	if ls.Key.Rep == RepSorted {
-		contractTilePairSorted(ls.sortedAt(i), rs.sortedAt(j), baseL, baseR, wk, pool, ctr)
+		contractTilePairSorted(ls.sortedAt(i), rs.sortedAt(j), wk, ctr)
 	} else {
-		contractTilePair(ls.sealedAt(i), rs.sealedAt(j), baseL, baseR, wk, pool, ctr)
+		contractTilePair(ls.sealedAt(i), rs.sealedAt(j), wk, ctr)
 	}
 }
 
@@ -105,33 +102,27 @@ func chooseSides(hl, hr *hashtable.Sealed) (iter, probeInto *hashtable.Sealed, s
 	return hl, hr, false
 }
 
-func runHashDense(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-	contractHashDense(ls.sealedAt(i), rs.sealedAt(j), baseL, baseR, wk, pool, ctr, probeBatch)
+func runHashDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
+	contractHashDense(ls.sealedAt(i), rs.sealedAt(j), wk, ctr, probeBatch)
 }
 
-func runHashSparse(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-	contractHashSparse(ls.sealedAt(i), rs.sealedAt(j), baseL, baseR, wk, pool, ctr, probeBatch)
+func runHashSparse(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, probeBatch int) {
+	contractHashSparse(ls.sealedAt(i), rs.sealedAt(j), wk, ctr, probeBatch)
 }
 
-func runSortedDense(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, _ int) {
-	contractSortedDense(ls.sortedAt(i), rs.sortedAt(j), baseL, baseR, wk, pool, ctr)
+func runSortedDense(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
+	contractSortedDense(ls.sortedAt(i), rs.sortedAt(j), wk, ctr)
 }
 
-func runSortedSparse(ls, rs *Shard, i, j int, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, _ int) {
-	contractSortedSparse(ls.sortedAt(i), rs.sortedAt(j), baseL, baseR, wk, pool, ctr)
+func runSortedSparse(ls, rs *Shard, i, j int, wk *worker, ctr *metrics.Counters, _ int) {
+	contractSortedSparse(ls.sortedAt(i), rs.sortedAt(j), wk, ctr)
 }
 
 // contractHashDense is the RepHash × AccumDense microkernel: batched probes
 // over the iterated side's flat key array, dense-grid scatter per match.
 //
 //fastcc:hotpath
-func contractHashDense(hl, hr *hashtable.Sealed, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-
+func contractHashDense(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counters, probeBatch int) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
 	keys := iter.Keys()
 	d := wk.dense
@@ -176,9 +167,7 @@ func contractHashDense(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
 	ctr.AddProbeBatches(batches, hits, queries-hits)
-	d.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
+	d.Drain(&wk.seg)
 }
 
 // contractHashSparse is the RepHash × AccumSparse microkernel: batched
@@ -186,9 +175,7 @@ func contractHashDense(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 // open-addressing table.
 //
 //fastcc:hotpath
-func contractHashSparse(hl, hr *hashtable.Sealed, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters, probeBatch int) {
-
+func contractHashSparse(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counters, probeBatch int) {
 	iter, probeInto, swapped := chooseSides(hl, hr)
 	keys := iter.Keys()
 	s := wk.sparse
@@ -230,9 +217,7 @@ func contractHashSparse(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
 	ctr.AddProbeBatches(batches, hits, queries-hits)
-	s.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
+	s.Drain(&wk.seg)
 }
 
 // contractSortedDense is the RepSorted × AccumDense microkernel: the sorted
@@ -241,9 +226,7 @@ func contractHashSparse(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 // sorted loop does.
 //
 //fastcc:hotpath
-func contractSortedDense(sl, sr *sortedTile, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-
+func contractSortedDense(sl, sr *sortedTile, wk *worker, ctr *metrics.Counters) {
 	d := wk.dense
 	var ms [hashtable.LookupBatchMax]accum.Match
 	nm := 0
@@ -274,17 +257,13 @@ func contractSortedDense(sl, sr *sortedTile, baseL, baseR uint64,
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
-	d.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
+	d.Drain(&wk.seg)
 }
 
 // contractSortedSparse is the RepSorted × AccumSparse microkernel.
 //
 //fastcc:hotpath
-func contractSortedSparse(sl, sr *sortedTile, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-
+func contractSortedSparse(sl, sr *sortedTile, wk *worker, ctr *metrics.Counters) {
 	s := wk.sparse
 	var ms [hashtable.LookupBatchMax]accum.Match
 	nm := 0
@@ -315,7 +294,5 @@ func contractSortedSparse(sl, sr *sortedTile, baseL, baseR uint64,
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
-	s.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
+	s.Drain(&wk.seg)
 }

@@ -7,7 +7,6 @@ import (
 
 	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
-	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 	"fastcc/internal/ref"
@@ -33,20 +32,18 @@ func TestKernelResolution(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := Config{Threads: 2, TileL: 32, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
-		out, st, err := Contract(l, r, cfg)
+		_, st, err := Contract(l, r, cfg)
 		if err != nil {
 			t.Fatalf("%v/%v: %v", c.rep, c.acc, err)
 		}
-		RecycleOutput(out)
 		if st.Decision.Kernel != c.want {
 			t.Fatalf("%v/%v: resolved kernel %v want %v", c.rep, c.acc, st.Decision.Kernel, c.want)
 		}
 		cfg.Kernel = model.KernelGeneric
-		out, st, err = Contract(l, r, cfg)
+		_, st, err = Contract(l, r, cfg)
 		if err != nil {
 			t.Fatalf("%v/%v generic: %v", c.rep, c.acc, err)
 		}
-		RecycleOutput(out)
 		if st.Decision.Kernel != model.KernelGeneric {
 			t.Fatalf("%v/%v: forced generic resolved to %v", c.rep, c.acc, st.Decision.Kernel)
 		}
@@ -127,20 +124,18 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 		}
 		for _, kern := range []struct {
 			name string
-			run  func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters)
+			run  func(wk *worker, ctr *metrics.Counters)
 		}{
-			{"generic", func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-				contractTilePair(dir.hl, dir.hr, 0, 0, wk, pool, ctr)
+			{"generic", func(wk *worker, ctr *metrics.Counters) {
+				contractTilePair(dir.hl, dir.hr, wk, ctr)
 			}},
-			{"batched", func(wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-				contractHashDense(dir.hl, dir.hr, 0, 0, wk, pool, ctr, hashtable.LookupBatchMax)
+			{"batched", func(wk *worker, ctr *metrics.Counters) {
+				contractHashDense(dir.hl, dir.hr, wk, ctr, hashtable.LookupBatchMax)
 			}},
 		} {
 			var ctr metrics.Counters
 			wk := newWorker(model.AccumDense, 128, 32, 0)
-			pool := outputChunks.NewPool()
-			kern.run(wk, pool, &ctr)
-			outputChunks.Release(mempool.Concat(pool))
+			kern.run(wk, &ctr)
 			if q := ctr.Snapshot().Queries; q != fewKeys {
 				t.Fatalf("%s/%s: %d queries, want %d (cheaper side not iterated)",
 					dir.name, kern.name, q, fewKeys)
@@ -157,13 +152,12 @@ func TestHashKernelProbeCounters(t *testing.T) {
 	r := randomMatrix(rng, 180, 40, 1300)
 	for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
 		var ctr metrics.Counters
-		out, st, err := Contract(l, r, Config{
+		_, st, err := Contract(l, r, Config{
 			Threads: 2, TileL: 32, TileR: 32, Accum: acc, Platform: tinyLLC, Counters: &ctr,
 		})
 		if err != nil {
 			t.Fatalf("accum=%v: %v", acc, err)
 		}
-		RecycleOutput(out)
 		s := ctr.Snapshot()
 		if s.ProbeBatches == 0 {
 			t.Fatalf("accum=%v: no probe batches recorded", acc)
@@ -180,14 +174,12 @@ func TestHashKernelProbeCounters(t *testing.T) {
 	}
 	// Sorted kernels probe nothing: the batch counters must stay zero.
 	var ctr metrics.Counters
-	out, _, err := Contract(l, r, Config{
+	if _, _, err := Contract(l, r, Config{
 		Threads: 2, TileL: 32, TileR: 32, Rep: RepSorted, Accum: model.AccumSparse,
 		Platform: tinyLLC, Counters: &ctr,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	RecycleOutput(out)
 	if s := ctr.Snapshot(); s.ProbeBatches != 0 || s.ProbeHits != 0 || s.ProbeMisses != 0 {
 		t.Fatalf("sorted rep recorded probe batches: %+v", s)
 	}
@@ -263,39 +255,38 @@ func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 func BenchmarkTilePair(b *testing.B) {
 	const tl, tr = 64, 32
 	d := newBenchTilePair(1024, 512, 8)
-	run := func(name string, kind model.AccumKind, fn func(wk *worker, pool *mempool.Pool[Triple])) {
+	run := func(name string, kind model.AccumKind, fn func(wk *worker)) {
 		b.Run(name, func(b *testing.B) {
 			wk := newWorker(kind, tl, tr, 1<<12)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pool := outputChunks.NewPool()
-				fn(wk, pool)
-				outputChunks.Release(mempool.Concat(pool))
+				fn(wk)
+				wk.seg.Reset()
 			}
 		})
 	}
-	run("hash/dense/generic", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePair(d.hl, d.hr, 0, 0, wk, pool, nil)
+	run("hash/dense/generic", model.AccumDense, func(wk *worker) {
+		contractTilePair(d.hl, d.hr, wk, nil)
 	})
-	run("hash/dense/kernel", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractHashDense(d.hl, d.hr, 0, 0, wk, pool, nil, hashtable.LookupBatchMax)
+	run("hash/dense/kernel", model.AccumDense, func(wk *worker) {
+		contractHashDense(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
 	})
-	run("hash/sparse/generic", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePair(d.hl, d.hr, 0, 0, wk, pool, nil)
+	run("hash/sparse/generic", model.AccumSparse, func(wk *worker) {
+		contractTilePair(d.hl, d.hr, wk, nil)
 	})
-	run("hash/sparse/kernel", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractHashSparse(d.hl, d.hr, 0, 0, wk, pool, nil, hashtable.LookupBatchMax)
+	run("hash/sparse/kernel", model.AccumSparse, func(wk *worker) {
+		contractHashSparse(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
 	})
-	run("sorted/dense/generic", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePairSorted(d.sl, d.sr, 0, 0, wk, pool, nil)
+	run("sorted/dense/generic", model.AccumDense, func(wk *worker) {
+		contractTilePairSorted(d.sl, d.sr, wk, nil)
 	})
-	run("sorted/dense/kernel", model.AccumDense, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractSortedDense(d.sl, d.sr, 0, 0, wk, pool, nil)
+	run("sorted/dense/kernel", model.AccumDense, func(wk *worker) {
+		contractSortedDense(d.sl, d.sr, wk, nil)
 	})
-	run("sorted/sparse/generic", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractTilePairSorted(d.sl, d.sr, 0, 0, wk, pool, nil)
+	run("sorted/sparse/generic", model.AccumSparse, func(wk *worker) {
+		contractTilePairSorted(d.sl, d.sr, wk, nil)
 	})
-	run("sorted/sparse/kernel", model.AccumSparse, func(wk *worker, pool *mempool.Pool[Triple]) {
-		contractSortedSparse(d.sl, d.sr, 0, 0, wk, pool, nil)
+	run("sorted/sparse/kernel", model.AccumSparse, func(wk *worker) {
+		contractSortedSparse(d.sl, d.sr, wk, nil)
 	})
 }

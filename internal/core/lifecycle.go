@@ -195,11 +195,6 @@ func CacheStats() metrics.CacheSnapshot {
 	return shardLRU.stats()
 }
 
-// OutputChunksOutstanding reports how many output chunk buffers are checked
-// out of the engine's chunk cache — the leak-accounting gauge tests assert
-// returns to its baseline once results are recycled.
-func OutputChunksOutstanding() int64 { return outputChunks.Outstanding() }
-
 func (c *shardCache) setBudget(b int64) {
 	c.mu.Lock()
 	c.budget = b

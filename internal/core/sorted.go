@@ -110,9 +110,7 @@ func buildSortedTiles(tables []*sortedTile, part *coo.TilePartition, w, teamSize
 // outer product into the worker's accumulator.
 //
 //fastcc:hotpath
-func contractTilePairSorted(sl, sr *sortedTile, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-
+func contractTilePairSorted(sl, sr *sortedTile, wk *worker, ctr *metrics.Counters) {
 	var queries, volume, updates int64
 	dense, sparse := wk.dense, wk.sparse
 	i, j := 0, 0
@@ -158,7 +156,5 @@ func contractTilePairSorted(sl, sr *sortedTile, baseL, baseR uint64,
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
-	wk.acc.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
+	wk.acc.Drain(&wk.seg)
 }

@@ -10,7 +10,6 @@ import (
 
 	"fastcc/internal/coo"
 	"fastcc/internal/model"
-	"fastcc/internal/ref"
 	"fastcc/internal/spill"
 	"fastcc/internal/tnsbin"
 )
@@ -80,12 +79,8 @@ func TestSpillEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			var ls, rs []uint64
-			var vs []float64
-			out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-			tn := ref.TriplesToMatrixTensor(ls, rs, vs, lm.ExtDim, rm.ExtDim)
-			tn.Sort()
-			return tn, st
+			out.Sort()
+			return out, st
 		}
 		cold, _ := run()
 
@@ -186,12 +181,8 @@ func TestSpillFaultFallback(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var ls, rs []uint64
-				var vs []float64
-				out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-				tn := ref.TriplesToMatrixTensor(ls, rs, vs, lm.ExtDim, rm.ExtDim)
-				tn.Sort()
-				return tn, st
+				out.Sort()
+				return out, st
 			}
 			cold, _ := run()
 			SetShardBudget(1)
@@ -286,12 +277,8 @@ func TestSpillAdoption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ls, rs []uint64
-		var vs []float64
-		out.ForEach(func(tr Triple) { ls = append(ls, tr.L); rs = append(rs, tr.R); vs = append(vs, tr.V) })
-		tn := ref.TriplesToMatrixTensor(ls, rs, vs, lm.ExtDim, rm.ExtDim)
-		tn.Sort()
-		return tn, st
+		out.Sort()
+		return out, st
 	}
 
 	l1, r1 := NewKeyedOperand(lm, "adopt-left"), NewKeyedOperand(rm, "adopt-right")

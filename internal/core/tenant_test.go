@@ -172,11 +172,9 @@ func TestEngineTenantTaggingAndRunExitEnforcement(t *testing.T) {
 	defer ro.Close()
 
 	SetTenantQuota("engine-t", 1)
-	out, _, err := ContractOperands(lo, ro, Config{Threads: 2, Tenant: "engine-t", CacheBudget: -1})
-	if err != nil {
+	if _, _, err := ContractOperands(lo, ro, Config{Threads: 2, Tenant: "engine-t", CacheBudget: -1}); err != nil {
 		t.Fatalf("ContractOperands: %v", err)
 	}
-	RecycleOutput(out)
 
 	// The run tagged both builds to the tenant, and its exit enforcement
 	// must have settled the 1-byte quota once the run pins dropped.

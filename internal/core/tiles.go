@@ -4,19 +4,21 @@ import (
 	"fastcc/internal/accum"
 	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
-	"fastcc/internal/mempool"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 )
 
-// worker holds the per-worker reusable accumulator. Exactly one of
-// dense/sparse is non-nil and aliases acc: the specialized kernels read the
-// typed field directly so no interface dispatch or per-tile type assertion
-// sits on the accumulate path.
+// worker holds the per-worker reusable accumulator and drain segment.
+// Exactly one of dense/sparse is non-nil and aliases acc: the specialized
+// kernels read the typed field directly so no interface dispatch or
+// per-tile type assertion sits on the accumulate path. Every tile task the
+// worker runs drains onto the end of seg; the output pass reads the
+// segments once all tasks are done.
 type worker struct {
 	acc    accum.Accumulator
 	dense  *accum.Dense
 	sparse *accum.Sparse
+	seg    accum.Segment
 }
 
 func newWorker(kind model.AccumKind, tl, tr uint64, sparseHint int) *worker {
@@ -74,16 +76,14 @@ func buildSealedTiles(tables []*hashtable.Sealed, part *coo.TilePartition, ctrDi
 
 // contractTilePair computes one output tile (Algorithm 6): co-iterate the
 // contraction keys of the two input tiles, form the outer product of the
-// matching slices into the worker's accumulator, then drain to the
-// worker-local COO list with global coordinates restored. The sealed
+// matching slices into the worker's accumulator, then drain the tile's
+// nonzeros, tile-relative, onto the worker's segment. The sealed
 // tables' dense cursor (KeyAt/PairsAt) replaces the seed's ForEach closure:
 // the key sweep is a linear walk of two flat arrays with no per-key
 // indirection or callback.
 //
 //fastcc:hotpath
-func contractTilePair(hl, hr *hashtable.Sealed, baseL, baseR uint64,
-	wk *worker, pool *mempool.Pool[Triple], ctr *metrics.Counters) {
-
+func contractTilePair(hl, hr *hashtable.Sealed, wk *worker, ctr *metrics.Counters) {
 	// Iterate the table with fewer distinct keys and probe the other: the
 	// intersection is the same, the query count smaller.
 	iter, probeInto, swapped := chooseSides(hl, hr)
@@ -134,7 +134,5 @@ func contractTilePair(hl, hr *hashtable.Sealed, baseL, baseR uint64,
 	ctr.AddQueries(queries)
 	ctr.AddVolume(volume)
 	ctr.AddUpdates(updates)
-	wk.acc.Drain(func(l, r uint32, v float64) { //fastcc:allow hotalloc -- one closure per tile task, outside the per-update loops
-		pool.Append(Triple{L: baseL + uint64(l), R: baseR + uint64(r), V: v})
-	})
+	wk.acc.Drain(&wk.seg)
 }

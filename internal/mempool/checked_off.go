@@ -7,12 +7,11 @@ package mempool
 // must panic (checked builds) or pass silently (normal builds).
 const Checked = false
 
-// checkedCache and checkedSlice are the zero-sized placeholders for the
+// checkedSlice and checkedFreelist are the zero-sized placeholders for the
 // checked-mode bookkeeping; the normal build parks storage in sync.Pool and
 // performs no poisoning or provenance tracking, keeping the recycle path
 // free of locks and sweeps.
 type (
-	checkedCache[T any]                  struct{}
 	checkedSlice[T any]                  struct{}
 	checkedFreelist[K comparable, V any] struct{}
 )
@@ -21,21 +20,6 @@ type (
 // the normal build parks values without validating which key they belong to.
 func (f *Freelist[K, V]) note(K, V)     {}
 func (f *Freelist[K, V]) checkPut(K, V) {}
-
-func (c *ChunkCache[T]) park(b []T) { c.pool.Put(b) }
-
-func (c *ChunkCache[T]) unpark() ([]T, bool) {
-	v := c.pool.Get()
-	if v == nil {
-		return nil, false
-	}
-	return v.([]T)[:0], true
-}
-
-// noteVended / vended implement provenance tracking only under
-// fastcc_checked; the normal build trusts the capacity check in Release.
-func (c *ChunkCache[T]) noteVended([]T)  {}
-func (c *ChunkCache[T]) vended([]T) bool { return true }
 
 func (s *SlicePool[T]) park(b []T) { s.pool.Put(b) }
 

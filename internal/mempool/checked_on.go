@@ -6,16 +6,16 @@
 // statically — becomes a deterministic panic at the next Get instead of
 // silent cross-run corruption. Parking uses a locked LIFO instead of
 // sync.Pool so the panic reproduces: sync.Pool may drop or migrate items
-// between Put and Get, which would let a corrupted chunk escape detection.
+// between Put and Get, which would let a corrupted slice escape detection.
 //
 // Poisoning scribbles over the slice's full capacity, so it is only applied
 // to pointer-free element types (checked once per pool via reflection).
 // Element types containing pointers — whose bytes the GC owns, so the
 // sentinel scribble must skip them — are covered by the shadow layer
-// instead: parked chunks are cleared to zero values (always GC-safe) and
+// instead: parked slices are cleared to zero values (always GC-safe) and
 // re-vends assert the zeros survived, so the same stale-write bug class
-// panics deterministically for pointered chunk lists too. Independent of
-// element type, every cache keeps a shadow epoch counter per chunk backing
+// panics deterministically for pointered slices too. Independent of
+// element type, every pool keeps a shadow epoch counter per backing
 // array (parity = residency), catching a chunk parked twice with no
 // intervening vend — the double-Put that would alias one chunk to two
 // future Gets, which the byte sentinel alone cannot see.
@@ -36,63 +36,6 @@ const Checked = true
 // asymmetric and non-zero, so neither fresh allocations nor common stores
 // (0, -1) mimic it.
 const poisonByte = 0xA5
-
-type checkedCache[T any] struct {
-	mu     sync.Mutex
-	parked [][]T
-	// vended records the backing arrays this cache has handed out, keyed by
-	// the array pointer; Release consults it to reject foreign chunks.
-	vendedSet map[*T]struct{}
-	epochs    epochSet
-}
-
-func (c *ChunkCache[T]) park(b []T) {
-	poison(b)
-	shadowPark(b)
-	c.ck.mu.Lock()
-	defer c.ck.mu.Unlock()
-	c.ck.epochs.park(chunkKey(b), "mempool.ChunkCache")
-	c.ck.parked = append(c.ck.parked, b)
-}
-
-func (c *ChunkCache[T]) unpark() ([]T, bool) {
-	c.ck.mu.Lock()
-	n := len(c.ck.parked)
-	if n == 0 {
-		c.ck.mu.Unlock()
-		return nil, false
-	}
-	b := c.ck.parked[n-1]
-	c.ck.parked[n-1] = nil
-	c.ck.parked = c.ck.parked[:n-1]
-	c.ck.epochs.unpark(chunkKey(b))
-	c.ck.mu.Unlock()
-	assertPoisoned(b, "mempool.ChunkCache")
-	assertShadow(b, "mempool.ChunkCache")
-	return b[:0], true
-}
-
-func (c *ChunkCache[T]) noteVended(b []T) {
-	if cap(b) == 0 {
-		return
-	}
-	c.ck.mu.Lock()
-	if c.ck.vendedSet == nil {
-		c.ck.vendedSet = make(map[*T]struct{})
-	}
-	c.ck.vendedSet[unsafe.SliceData(b[:cap(b)])] = struct{}{}
-	c.ck.mu.Unlock()
-}
-
-func (c *ChunkCache[T]) vended(b []T) bool {
-	if cap(b) == 0 {
-		return false
-	}
-	c.ck.mu.Lock()
-	_, ok := c.ck.vendedSet[unsafe.SliceData(b[:cap(b)])]
-	c.ck.mu.Unlock()
-	return ok
-}
 
 type checkedSlice[T any] struct {
 	mu     sync.Mutex

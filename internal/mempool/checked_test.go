@@ -34,24 +34,6 @@ func TestSlicePoolUseAfterRecycle(t *testing.T) {
 	})
 }
 
-// TestChunkCacheUseAfterRecycle is the same injection through the chunk
-// path: a stale List chunk reference written after Release must poison-panic
-// when the cache re-vends the storage to the next pool.
-func TestChunkCacheUseAfterRecycle(t *testing.T) {
-	c := NewChunkCache[int](4)
-	p := c.NewPool()
-	for i := 0; i < 4; i++ {
-		p.Append(i)
-	}
-	l := Concat(p)
-	stale := l.Chunks()[0]
-	c.Release(l)
-	stale[2] = 99 // deliberate use-after-recycle through the old chunk
-	mustPanicWhenChecked(t, "ChunkCache", func() {
-		c.NewPool().Append(7)
-	})
-}
-
 // TestSlicePoolCleanRecycleDoesNotPanic pins the other half of the checked
 // contract: a correct Put/Get cycle must never trip the poison assert.
 func TestSlicePoolCleanRecycleDoesNotPanic(t *testing.T) {
@@ -64,46 +46,6 @@ func TestSlicePoolCleanRecycleDoesNotPanic(t *testing.T) {
 	b := s.Get(16)
 	if len(b) != 0 {
 		t.Fatalf("recycled slice not empty: %d", len(b))
-	}
-}
-
-// TestChunkCacheRejectsWrongCapacity: a chunk of the wrong capacity must be
-// dropped with a count, never recycled — recycling it would vend
-// wrong-shaped storage to the next pool.
-func TestChunkCacheRejectsWrongCapacity(t *testing.T) {
-	c := NewChunkCache[int](4)
-	foreign := New[int](8) // chunkLen 8: caps can never match the cache's 4
-	for i := 0; i < 3; i++ {
-		foreign.Append(i)
-	}
-	c.Release(Concat(foreign))
-	if got := c.Dropped(); got != 1 {
-		t.Fatalf("Dropped=%d after one wrong-capacity chunk, want 1", got)
-	}
-	p := c.NewPool()
-	p.Append(1)
-	if got := cap(p.Chunks()[0]); got != 4 {
-		t.Fatalf("cache vended a foreign chunk: cap=%d want 4", got)
-	}
-}
-
-// TestChunkCacheForeignSameCapacity: same capacity, wrong provenance. The
-// normal build cannot tell these apart (capacity is its only signal) and
-// recycles; the checked build tracks which arrays the cache vended and
-// rejects the impostor.
-func TestChunkCacheForeignSameCapacity(t *testing.T) {
-	c := NewChunkCache[int](4)
-	foreign := New[int](4) // same chunkLen, but storage the cache never vended
-	foreign.Append(1)
-	c.Release(Concat(foreign))
-	if Checked {
-		if got := c.Dropped(); got != 1 {
-			t.Fatalf("checked build: Dropped=%d for a foreign same-cap chunk, want 1", got)
-		}
-	} else {
-		if got := c.Dropped(); got != 0 {
-			t.Fatalf("normal build: Dropped=%d, capacity-matched chunks are accepted", got)
-		}
 	}
 }
 
@@ -176,43 +118,6 @@ func TestFreelistNonComparableValuesSkipProvenance(t *testing.T) {
 	}
 	if _, ok := f.Get(2); !ok {
 		t.Fatal("Get(2) found nothing after Put(2)")
-	}
-}
-
-// TestChunkCachePointeredUseAfterRecycle: an element type containing
-// pointers forces the byte sentinel to stand down (the GC owns those bits);
-// the shadow layer's zero-fill parking must catch the same stale write.
-func TestChunkCachePointeredUseAfterRecycle(t *testing.T) {
-	c := NewChunkCache[[]int](4)
-	p := c.NewPool()
-	p.Append([]int{1, 2})
-	l := Concat(p)
-	stale := l.Chunks()[0]
-	c.Release(l)
-	if Checked && stale[:1][0] != nil {
-		t.Fatal("parked pointered chunk not cleared to zero values")
-	}
-	stale[:1][0] = []int{9} // deliberate use-after-recycle through the old chunk
-	mustPanicWhenChecked(t, "ChunkCache pointered", func() {
-		c.NewPool().Append([]int{7})
-	})
-}
-
-// TestChunkCachePointeredCleanRecycle pins the other half of the shadow
-// contract: a correct Release/NewPool cycle over a pointered element type
-// must never trip the zero assert, and the recycled chunk must work.
-func TestChunkCachePointeredCleanRecycle(t *testing.T) {
-	c := NewChunkCache[[]int](4)
-	for i := 0; i < 3; i++ {
-		p := c.NewPool()
-		p.Append([]int{i})
-		p.Append([]int{i, i})
-		c.Release(Concat(p))
-	}
-	p := c.NewPool()
-	p.Append([]int{42})
-	if got := p.Chunks()[0][0][0]; got != 42 {
-		t.Fatalf("recycled pointered chunk read back %d, want 42", got)
 	}
 }
 

@@ -1,27 +1,25 @@
-// Package mempool provides chunked, append-only arenas. FaSTCC threads push
-// output nonzeros into thread-local chunk lists and the coordinator later
-// concatenates those lists by reference, never copying element data — the
-// Go analogue of the paper's 512 MB-chunk memory-pool layer for COO output
-// construction (Section 4.2).
+// Package mempool provides chunked, append-only arenas: threads push
+// elements into thread-local chunk lists and a coordinator concatenates
+// those lists by reference, never copying element data — the Go analogue
+// of the paper's 512 MB-chunk memory-pool layer for COO output
+// construction (Section 4.2), kept for the baseline engines.
 //
-// For repeated contractions the package also provides the recycling layer
-// the prepared-operand API builds on: ChunkCache returns drained chunk
-// storage to a free pool instead of the garbage collector, Freelist keeps
-// shaped scratch objects (accumulators) alive between runs, and SlicePool
-// recycles flat scratch slices.
+// It also provides the recycling layer the contraction engine and the
+// prepared-operand API build on: Freelist keeps shaped scratch objects
+// (per-worker accumulators and drain segments) alive between runs, and
+// SlicePool recycles flat slices.
 //
 // # Checked mode
 //
-// Recycling bugs — a caller holding a buffer past Put/Release, a foreign
-// chunk smuggled into a cache — are invisible to the garbage collector and
-// the race detector. Building with -tags fastcc_checked arms this package's
-// lifetime assertions: recycled storage of pointer-free element types is
-// poisoned with a sentinel byte pattern when parked and verified when
-// re-vended, so a write after the recycle point becomes a deterministic
-// panic at the next Get instead of silent corruption; parking switches from
-// sync.Pool to a deterministic LIFO so the panic is reproducible; and
-// ChunkCache additionally tracks chunk provenance, rejecting (and counting)
-// storage it never vended. The static side of the same contract is the
+// Recycling bugs — a caller holding a buffer past Put, a value parked under
+// the wrong key — are invisible to the garbage collector and the race
+// detector. Building with -tags fastcc_checked arms this package's lifetime
+// assertions: recycled storage of pointer-free element types is poisoned
+// with a sentinel byte pattern when parked and verified when re-vended, so
+// a write after the recycle point becomes a deterministic panic at the next
+// Get instead of silent corruption; parking switches from sync.Pool to a
+// deterministic LIFO so the panic is reproducible; and Freelist tracks each
+// value's key provenance. The static side of the same contract is the
 // poolescape analyzer in tools/analysis.
 package mempool
 
@@ -44,7 +42,6 @@ type Pool[T any] struct {
 	chunkLen int
 	chunks   [][]T
 	n        int
-	cache    *ChunkCache[T] // non-nil when chunks are drawn from a cache
 }
 
 // New returns a pool with the given chunk length (elements per allocation).
@@ -56,21 +53,12 @@ func New[T any](chunkLen int) *Pool[T] {
 	return &Pool[T]{chunkLen: chunkLen}
 }
 
-// newChunk returns fresh chunk storage: recycled when the pool is backed by
-// a ChunkCache, freshly allocated otherwise.
-func (p *Pool[T]) newChunk() []T {
-	if p.cache != nil {
-		return p.cache.get()
-	}
-	return make([]T, 0, p.chunkLen)
-}
-
 // Append adds one element, allocating a new chunk when the tail is full.
 //
 //fastcc:hotpath
 func (p *Pool[T]) Append(v T) {
 	if len(p.chunks) == 0 || len(p.chunks[len(p.chunks)-1]) == cap(p.chunks[len(p.chunks)-1]) {
-		p.chunks = append(p.chunks, p.newChunk()) //fastcc:allow hotalloc -- chunk allocation IS the amortization, once per chunkLen appends
+		p.chunks = append(p.chunks, make([]T, 0, p.chunkLen)) //fastcc:allow hotalloc -- chunk allocation IS the amortization, once per chunkLen appends
 	}
 	last := len(p.chunks) - 1
 	p.chunks[last] = append(p.chunks[last], v) //fastcc:allow hotalloc -- tail append is capacity-bounded, never reallocates
@@ -117,8 +105,7 @@ type List[T any] struct {
 
 // Concat builds a List from the pools' chunks without copying elements.
 //
-//fastcc:owned pools -- pointer movement IS the contract: the List takes over
-// the pools' chunks, and List.Release (or output recycling) hands them back
+//fastcc:owned pools -- pointer movement IS the contract: the List takes over the pools' chunks
 func Concat[T any](pools ...*Pool[T]) *List[T] {
 	l := &List[T]{}
 	for _, p := range pools {
@@ -149,90 +136,6 @@ func (l *List[T]) ForEach(fn func(T)) {
 
 // Chunks exposes the chunk slices (read-only).
 func (l *List[T]) Chunks() [][]T { return l.chunks }
-
-// ChunkCache recycles fixed-length chunk storage between contraction runs.
-// Pools created via NewPool draw their chunks from the cache; once a run's
-// output List has been fully copied out, Release returns every chunk for
-// the next run. Safe for concurrent use (it wraps sync.Pool; a deterministic
-// locked LIFO under fastcc_checked), so parallel contractions share one
-// cache.
-type ChunkCache[T any] struct {
-	chunkLen int
-	pool     sync.Pool
-	dropped  atomic.Uint64
-	// vendedN/returnedN count chunks handed to pools and chunks that came
-	// back through Release; their difference is the leak-accounting gauge
-	// Outstanding.
-	vendedN, returnedN atomic.Int64
-	ck                 checkedCache[T] // zero-sized unless built with fastcc_checked
-}
-
-// NewChunkCache returns a cache of chunks with the given length; <= 0
-// selects DefaultChunkLen.
-func NewChunkCache[T any](chunkLen int) *ChunkCache[T] {
-	if chunkLen <= 0 {
-		chunkLen = DefaultChunkLen
-	}
-	return &ChunkCache[T]{chunkLen: chunkLen}
-}
-
-// NewPool returns an empty Pool whose chunks come from (and may return to)
-// this cache.
-func (c *ChunkCache[T]) NewPool() *Pool[T] {
-	return &Pool[T]{chunkLen: c.chunkLen, cache: c}
-}
-
-func (c *ChunkCache[T]) get() []T {
-	c.vendedN.Add(1)
-	if b, ok := c.unpark(); ok {
-		return b
-	}
-	b := make([]T, 0, c.chunkLen)
-	c.noteVended(b)
-	return b
-}
-
-// Outstanding reports how many vended chunks have not yet come back through
-// Release — the cache's leak-accounting gauge. A workload that recycles
-// every output list leaves the gauge where it found it; a positive drift
-// means some caller is retaining chunk storage. Foreign chunks smuggled
-// into Release are dropped without counting as returns, so in normal
-// (unchecked) builds a same-capacity foreign chunk can skew the gauge low;
-// the fastcc_checked build's provenance tracking keeps it exact.
-func (c *ChunkCache[T]) Outstanding() int64 {
-	return c.vendedN.Load() - c.returnedN.Load()
-}
-
-// Dropped reports how many chunks Release rejected instead of recycling:
-// wrong-capacity storage always, and storage this cache never vended under
-// fastcc_checked. A nonzero count means some caller is feeding the cache
-// chunks it does not own — recycling those would hand one run's live memory
-// to another.
-func (c *ChunkCache[T]) Dropped() uint64 { return c.dropped.Load() }
-
-// Release returns all chunk storage of l to the cache and empties l. Call
-// only when every element has been copied out: the chunks will be handed to
-// future pools and overwritten. Wrong-capacity or foreign chunks are not
-// recycled — they are dropped for the garbage collector and counted in
-// Dropped, because a chunk the cache cannot vouch for may still be
-// referenced by its real owner.
-//
-//fastcc:owned l -- the recycle point: the cache owns l's chunks after this call
-func (c *ChunkCache[T]) Release(l *List[T]) {
-	if l == nil {
-		return
-	}
-	for _, ch := range l.chunks {
-		if cap(ch) != c.chunkLen || !c.vended(ch) {
-			c.dropped.Add(1)
-			continue
-		}
-		c.returnedN.Add(1)
-		c.park(ch[:0])
-	}
-	l.chunks = nil
-	l.n = 0
-}
 
 // Freelist is a bounded, concurrency-safe free list of reusable values
 // grouped by a comparable key — the engine parks per-worker accumulators
@@ -287,58 +190,47 @@ func (f *Freelist[K, V]) Get(k K) (V, bool) {
 // it at construction time. A no-op without -tags fastcc_checked.
 func (f *Freelist[K, V]) Note(k K, v V) { f.note(k, v) }
 
-// Put parks v for future Get(k) calls; full lists drop v for the GC. Under
+// Put parks v for future Get(k) calls and reports whether it did; full lists
+// drop v for the GC. Under
 // fastcc_checked, a value whose recorded provenance names a different key
 // panics here — the wrong-shaped-accumulator-under-the-right-key bug is
 // rejected at the recycle point, not discovered at reuse. A value never seen
 // before is bound to k by this Put.
 //
 //fastcc:owned v -- the recycle point: the freelist owns v after this call
-func (f *Freelist[K, V]) Put(k K, v V) {
+func (f *Freelist[K, V]) Put(k K, v V) bool {
 	f.checkPut(k, v)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.items[k]) >= f.perKey {
-		return
+		return false
 	}
 	f.items[k] = append(f.items[k], v)
+	return true
 }
 
-// SlicePool recycles variable-capacity scratch slices (the engine's
-// de-linearization buffers). Safe for concurrent use.
+// SlicePool recycles variable-capacity slices (the engine's sorted-tile
+// arrays). Safe for concurrent use.
 type SlicePool[T any] struct {
 	pool    sync.Pool
 	dropped atomic.Uint64
-	// vended/returned count Get and Put calls; their difference is the
-	// leak-accounting gauge Outstanding.
-	vended, returned atomic.Int64
-	ck               checkedSlice[T] // zero-sized unless built with fastcc_checked
+	ck      checkedSlice[T] // zero-sized unless built with fastcc_checked
 }
 
 // Get returns an empty slice with capacity at least capHint, recycled when
 // a large-enough one is parked.
 func (s *SlicePool[T]) Get(capHint int) []T {
-	s.vended.Add(1)
 	if b, ok := s.unpark(); ok && cap(b) >= capHint {
 		return b
 	}
 	return make([]T, 0, capHint)
 }
 
-// Outstanding reports how many Get results have not come back through Put —
-// the pool's leak-accounting gauge. A balanced workload leaves it where it
-// found it.
-func (s *SlicePool[T]) Outstanding() int64 {
-	return s.vended.Load() - s.returned.Load()
-}
-
 // Put parks b for reuse; the caller must not retain it. Zero-capacity
-// slices carry no storage worth parking and are dropped with a count
-// (still a return for leak accounting: the caller handed back what it held).
+// slices carry no storage worth parking and are dropped with a count.
 //
 //fastcc:owned b -- the recycle point: the pool owns b after this call
 func (s *SlicePool[T]) Put(b []T) {
-	s.returned.Add(1)
 	if cap(b) == 0 {
 		s.dropped.Add(1)
 		return

@@ -91,7 +91,7 @@ type Server struct {
 
 	// Shard-cache baseline captured at New; Close checks the deltas are
 	// zero after dropping all state (the server leaks nothing it created).
-	baseBytes, baseShards, baseChunks int64
+	baseBytes, baseShards, baseSegs int64
 }
 
 // New creates a Server, configuring the spill tier when Config.SpillDir is
@@ -114,7 +114,7 @@ func New(cfg Config) (*Server, error) {
 		tenants:    map[string]bool{},
 		baseBytes:  cs.CachedBytes,
 		baseShards: cs.Shards,
-		baseChunks: core.OutputChunksOutstanding(),
+		baseSegs:   core.DrainSegmentsOutstanding(),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.tenanted(s.handleStats))
@@ -130,7 +130,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains in-flight contractions, drops every result, registry entry
-// and tenant account, then verifies the shard-cache and output-chunk gauges
+// and tenant account, then verifies the shard-cache and drain-segment gauges
 // returned to their New-time baseline. A nonzero delta is returned as an
 // error — the daemon exits nonzero on it, which is what make serve-smoke
 // asserts.
@@ -160,8 +160,8 @@ func (s *Server) Close() error {
 	if d := cs.Shards - s.baseShards; d != 0 {
 		leaks = append(leaks, fmt.Sprintf("shards %+d", d))
 	}
-	if d := core.OutputChunksOutstanding() - s.baseChunks; d != 0 {
-		leaks = append(leaks, fmt.Sprintf("output chunks %+d", d))
+	if d := core.DrainSegmentsOutstanding() - s.baseSegs; d != 0 {
+		leaks = append(leaks, fmt.Sprintf("drain segments %+d", d))
 	}
 	// Without persist-mode, dropping every operand must also have emptied
 	// the spill directory — a surviving file is a disk leak. Persist-mode

@@ -56,7 +56,7 @@ func TestServerSoakManyTenants(t *testing.T) {
 	}
 
 	// Clean shutdown: HTTP listener first, then the Server's own leak check
-	// (shard cache and output chunks back to the New-time baseline).
+	// (shard cache and drain segments back to the New-time baseline).
 	hs.Close()
 	if err := srv.Close(); err != nil {
 		t.Errorf("leak check at shutdown: %v", err)

@@ -6,7 +6,6 @@ import (
 
 	"fastcc/internal/coo"
 	"fastcc/internal/core"
-	"fastcc/internal/mempool"
 )
 
 // Sharded is a contraction operand prepared once and reusable across many
@@ -27,7 +26,6 @@ import (
 type Sharded struct {
 	t     *Tensor
 	modes []int // contracted modes, frozen at Preshard time
-	ext   []int // external modes, in original order
 	op    *core.Operand
 }
 
@@ -156,7 +154,6 @@ func preshardValidated(t *Tensor, modes []int, key string) (*Sharded, error) {
 	return &Sharded{
 		t:     t,
 		modes: append([]int(nil), modes...),
-		ext:   ext,
 		op:    op,
 	}, nil
 }
@@ -206,23 +203,15 @@ func ContractContext(ctx context.Context, l, r *Tensor, spec Spec, opts ...Optio
 	return Contract(l, r, spec, withCtx...)
 }
 
-// delinScratch recycles the de-linearization scratch buffers across calls;
-// together with the engine's output-chunk recycling this keeps repeated
-// contractions from reallocating their big flat buffers.
-var (
-	delinU64 mempool.SlicePool[uint64]
-	delinF64 mempool.SlicePool[float64]
-)
-
 // contractSharded runs the shared build/execute pipeline over two prepared
-// operands and de-linearizes the output. linearize is the time the caller
-// spent matrixizing (zero when the operands were prepared earlier — that is
-// the amortization).
+// operands; the engine writes the de-linearized output itself. linearize
+// is the time the caller spent matrixizing (zero when the operands were
+// prepared earlier — that is the amortization).
 func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tensor, *Stats, error) {
 	st := &Stats{Linearize: linearize}
 	tStart := time.Now()
 
-	out, cst, err := core.ContractOperands(l.op, r.op, core.Config{
+	result, cst, err := core.ContractOperands(l.op, r.op, core.Config{
 		Threads:     o.threads,
 		TileL:       o.tileL,
 		TileR:       o.tileR,
@@ -249,40 +238,9 @@ func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tenso
 	st.Build = cst.BuildTime
 	st.Contract = cst.ContractTime
 	st.Concat = cst.ConcatTime
+	st.Delinearize = cst.DelinearizeTime
 	st.ShardReusedL, st.ShardReusedR = cst.ShardReusedL, cst.ShardReusedR
 	st.ShardReused = cst.ShardReusedL && cst.ShardReusedR
-
-	// Post-processing: de-linearize output coordinates (timed), with the
-	// flat scratch drawn from recycled buffers.
-	t0 := time.Now()
-	n := out.Len()
-	ls := delinU64.Get(n)
-	rs := delinU64.Get(n)
-	vs := delinF64.Get(n)
-	out.ForEach(func(t core.Triple) {
-		ls = append(ls, t.L)
-		rs = append(rs, t.R)
-		vs = append(vs, t.V)
-	})
-	lDims := make([]uint64, len(l.ext))
-	for i, m := range l.ext {
-		lDims[i] = l.t.Dims[m]
-	}
-	rDims := make([]uint64, len(r.ext))
-	for i, m := range r.ext {
-		rDims[i] = r.t.Dims[m]
-	}
-	result, ferr := coo.FromPairsP(ls, rs, vs, lDims, rDims, st.Threads) //fastcc:allow poolescapex -- FromPairsP wg.Wait-joins its delinearization goroutines before returning: ls/rs are borrowed for the call, not escaped
-	// FromPairsP copies everything it keeps; the triples and scratch can go
-	// straight back to their pools.
-	core.RecycleOutput(out)
-	delinU64.Put(ls)
-	delinU64.Put(rs)
-	delinF64.Put(vs)
-	if ferr != nil {
-		return nil, nil, ferr
-	}
-	st.Delinearize = time.Since(t0)
 	st.Total = linearize + time.Since(tStart)
 	st.Counters = o.counters.Snapshot()
 	return result, st, nil

@@ -302,13 +302,13 @@ func TestEinsumNRepeatedOperandReusesShards(t *testing.T) {
 
 // TestPreparedDropLeavesNothingOutstanding wires the leak-accounting helper
 // into the prepared suite: after contracting prepared operands and dropping
-// them, the shard cache must return to its captured charge and every output
-// chunk must be back in its pool — zero outstanding, the Drop contract.
+// them, the shard cache must return to its captured charge and every drain
+// segment must be parked again — zero outstanding, the Drop contract.
 func TestPreparedDropLeavesNothingOutstanding(t *testing.T) {
 	base := testutil.Capture(
 		testutil.Gauge{Name: "shard-cache bytes", Read: func() int64 { return ShardCacheStats().CachedBytes }},
 		testutil.Gauge{Name: "shard-cache shards", Read: func() int64 { return ShardCacheStats().Shards }},
-		testutil.Gauge{Name: "output chunks", Read: core.OutputChunksOutstanding},
+		testutil.Gauge{Name: "drain segments", Read: core.DrainSegmentsOutstanding},
 	)
 
 	rng := rand.New(rand.NewSource(91))

@@ -3,8 +3,7 @@
 //
 // The engine's memory reuse (PRs 2-3) hands out storage whose lifetime ends
 // at an explicit recycle point: mempool.SlicePool.Get buffers die at Put,
-// ChunkCache-backed pool chunks die at Release, Freelist.Get values are
-// re-vended to the next Get. None of that is visible to the garbage
+// Freelist.Get values are re-vended to the next Get. None of that is visible to the garbage
 // collector or the race detector — a reference that outlives the recycle
 // point silently reads (or corrupts) whatever the next owner writes. This
 // analyzer reports the three escape shapes that create such references:
@@ -28,8 +27,8 @@
 // convention for transfers that are part of the design.
 //
 // The analysis is intraprocedural and name-based on the mempool API: it
-// tracks values produced by Pool.Chunks, List.Chunks, ChunkCache.NewPool,
-// SlicePool.Get and Freelist.Get (through local aliases) and inspects the
+// tracks values produced by Pool.Chunks, List.Chunks, SlicePool.Get and
+// Freelist.Get (through local aliases) and inspects the
 // enclosing function's statements. It does not model Put ordering — any
 // escape of tracked memory is reported, because a store that happens to
 // precede every recycle today is one refactor away from outliving one.
@@ -52,11 +51,10 @@ var Analyzer = &framework.Analyzer{
 // poolMethods names the producing methods per mempool type: a call to one of
 // these yields memory owned by the pool's recycling discipline.
 var poolMethods = map[string]map[string]bool{
-	"Pool":       {"Chunks": true},
-	"List":       {"Chunks": true},
-	"ChunkCache": {"NewPool": true},
-	"SlicePool":  {"Get": true},
-	"Freelist":   {"Get": true},
+	"Pool":      {"Chunks": true},
+	"List":      {"Chunks": true},
+	"SlicePool": {"Get": true},
+	"Freelist":  {"Get": true},
 }
 
 func run(pass *framework.Pass) error {

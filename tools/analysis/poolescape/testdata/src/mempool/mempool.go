@@ -17,12 +17,6 @@ type List[T any] struct{ chunks [][]T }
 
 func (l *List[T]) Chunks() [][]T { return l.chunks }
 
-// ChunkCache recycles chunk storage.
-type ChunkCache[T any] struct{}
-
-func (c *ChunkCache[T]) NewPool() *Pool[T]  { return &Pool[T]{} }
-func (c *ChunkCache[T]) Release(l *List[T]) {}
-
 // SlicePool recycles flat scratch slices.
 type SlicePool[T any] struct{}
 

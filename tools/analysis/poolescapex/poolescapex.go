@@ -396,7 +396,7 @@ func ownedParams(node *framework.FuncNode, params []*types.Var) map[int]bool {
 
 // trackedWithIndexStores extends poolescape's tracked-variable set with
 // container locals that receive pooled elements by index assignment
-// (pools[w] = cache.NewPool()): passing the container onward hands over the
+// (bufs[w] = pool.Get(n)): passing the container onward hands over the
 // pooled elements too.
 func trackedWithIndexStores(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
 	tracked := poolescape.TrackedVars(info, body)

@@ -3,7 +3,7 @@
 # scripted client round-trip (upload -> contract -> fetch -> compare against
 # a local contraction), then shut the daemon down with SIGTERM and require a
 # clean exit — which the daemon only reports when its shard-cache and
-# output-chunk leak gauges returned to their startup baseline.
+# drain-segment leak gauges returned to their startup baseline.
 #
 # A second pair of daemon runs exercises the shard cache's disk tier: a
 # 1-byte RAM budget forces every cold shard through the spill path (the
