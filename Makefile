@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-reuse bench-buildscale bench-hotpath bench-hotpath-smoke bench-spill bench-spill-smoke serve-smoke ci
+.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-reuse bench-buildscale bench-spill bench-spill-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -43,7 +43,7 @@ vet:
 #
 # The second half is the devirtualization ledger. The whole-program passes
 # re-run over the layers with the densest indirect calls (the server's
-# handler plumbing, the core microkernel dispatch, the command drivers),
+# handler plumbing, the core co-iteration loops, the command drivers),
 # then the call-graph stats are printed into the log and the opaque-site
 # count — the passes' tracked soundness gap — is compared against the
 # checked-in golden number. Drift fails the build in both directions: a
@@ -93,10 +93,12 @@ fuzz-smoke:
 # One-iteration run of the prepared-operand reuse benchmark: exercises the
 # Preshard/ContractPrepared path end to end (the warm iterations assert
 # Stats.Build == 0 and ShardReused) without paying full benchmark time.
-# Then one iteration of the output-path benchmark.
+# Then one iteration of the output-path benchmark and of each (rep, accum)
+# case of the tile-pair co-iteration benchmark.
 bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
 	$(GO) test -bench=OutputPath -benchtime=1x -run=^$$ ./internal/core
+	$(GO) test -bench=TilePair -benchtime=1x -run=^$$ ./internal/core
 	$(GO) run ./cmd/fastcc-bench -exp buildscale -scale-frostt 0.0005 -repeats 1 -threads 2 -platform desktop8 > /dev/null
 
 # Regenerate the checked-in BENCH_buildscale.json: Build-phase wall time
@@ -110,22 +112,6 @@ bench-buildscale:
 # the FROSTT suite at benchmark scale).
 bench-reuse:
 	$(GO) run ./cmd/fastcc-bench -exp reuse -scale-frostt 0.002 -repeats 7 -platform desktop8 > BENCH_reuse.json
-
-# Regenerate the checked-in BENCH_hotpath.json: contract-phase time of each
-# specialized tile microkernel against the generic co-iteration loop on the
-# QC suite (the accumulate-bound regime the kernels target). Repeats are
-# paired and interleaved with the minimum reported; the experiment fails if
-# any kernel output is not bit-identical to the generic loop's. Add
-# `-pprof-dir <dir>` to the command to capture per-combo CPU profiles.
-bench-hotpath:
-	$(GO) run ./cmd/fastcc-bench -exp hotpath -suite qc -scale-qc 0.2 -repeats 5 > BENCH_hotpath.json
-
-# Tiny-scale microkernel smoke: one pass of all four (rep, accum) kernels —
-# RunHotpath errors out on any bit-level divergence from the generic loop —
-# plus the schema check over the checked-in BENCH_hotpath.json.
-bench-hotpath-smoke:
-	$(GO) run ./cmd/fastcc-bench -exp hotpath -suite qc -scale-qc 0.02 -repeats 1 -threads 2 -platform desktop8 > /dev/null
-	$(GO) test ./internal/experiments -run 'TestRunHotpathEmitsValidJSON|TestBenchHotpathArtifact'
 
 # Regenerate the checked-in BENCH_spill.json: evict-then-contract timed with
 # the disk tier off (rebuild) and on (re-pin from the spill file) on the
@@ -151,4 +137,4 @@ serve-smoke:
 	$(GO) build -o bin/fastcc-client ./cmd/fastcc-client
 	sh tools/serve_smoke.sh bin
 
-ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-hotpath-smoke bench-spill-smoke serve-smoke
+ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-spill-smoke serve-smoke

@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		repeats     = fs.Int("repeats", def.Repeats, "timing repeats (min reported)")
 		verify      = fs.Bool("verify", false, "cross-check engine outputs (slower)")
 		format      = fs.String("format", "table", "table rendering: table or csv")
-		pprofDir    = fs.String("pprof-dir", "", "directory for CPU profiles from profile-aware experiments (hotpath)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.Seed = *seed
 	cfg.Repeats = *repeats
 	cfg.Verify = *verify
-	cfg.ProfileDir = *pprofDir
 	switch *format {
 	case "table", "csv":
 		cfg.Format = *format

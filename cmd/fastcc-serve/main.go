@@ -29,6 +29,27 @@ import (
 	"fastcc/internal/server"
 )
 
+// Connection bounds of the daemon's HTTP server: a client gets
+// readHeaderTimeout to send its request headers, which may not exceed
+// maxHeaderBytes, and an idle keep-alive connection is closed after
+// idleTimeout. Bodies have no read deadline, since uploads may be large;
+// the handlers bound their size instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer serves h with the daemon's connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
@@ -100,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) error {
 	}
 	fmt.Fprintf(stdout, "fastcc-serve listening on %s\n", bound)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -93,3 +93,23 @@ func TestServeFlagErrors(t *testing.T) {
 		t.Fatal("unlistenable address accepted")
 	}
 }
+
+// TestHTTPServerIsBounded checks that the daemon's server carries its
+// connection bounds: without them one client that never finishes its
+// headers holds a connection, and its goroutine, forever.
+func TestHTTPServerIsBounded(t *testing.T) {
+	h := http.NotFoundHandler()
+	hs := newHTTPServer(h)
+	if hs.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.MaxHeaderBytes != maxHeaderBytes || hs.MaxHeaderBytes <= 0 {
+		t.Errorf("MaxHeaderBytes = %d, want %d", hs.MaxHeaderBytes, maxHeaderBytes)
+	}
+}

@@ -6,7 +6,11 @@
 // model in internal/model decides which to instantiate.
 package accum
 
-import "slices"
+import (
+	"slices"
+
+	"fastcc/internal/hashtable"
+)
 
 // Accumulator accumulates contributions to one output tile and then drains
 // its nonzeros. Implementations are reused across tile tasks via Reset.
@@ -14,6 +18,10 @@ import "slices"
 type Accumulator interface {
 	// Upsert adds v to position (l, r) — WS.upsert of Algorithm 4.
 	Upsert(l, r uint32, v float64)
+	// ScatterMatches upserts every match's outer product, matches in slice
+	// order and each match in L-major order: the same accumulation order,
+	// and so the same bits, as the equivalent Upsert loop.
+	ScatterMatches(ms []Match)
 	// Drain appends every nonzero position to seg exactly once, in the
 	// order the positions were first touched, and leaves the accumulator
 	// empty and reusable.
@@ -22,6 +30,15 @@ type Accumulator interface {
 	Len() int
 	// Reset empties the accumulator without draining.
 	Reset()
+}
+
+// Match is one co-iteration match: the left and right pair runs that share
+// a contraction key, contracted as the outer product L × R. Kernels batch
+// matches and scatter a whole batch per call, so the call boundary and the
+// accumulator field reloads amortize over the batch instead of recurring
+// per matched key.
+type Match struct {
+	L, R []hashtable.Pair
 }
 
 // Segment is a flat, structure-of-arrays run of drained tile nonzeros:

@@ -173,7 +173,7 @@ func randPairs(rng *rand.Rand, n int, bound uint32) []hashtable.Pair {
 
 // TestScatterMatchesUpsert pins the specialized batched outer-product
 // scatter against the per-update Upsert loop it replaces, bit for bit (same
-// accumulation order), for both accumulator kinds — including empty
+// accumulation order), for every accumulator — including empty
 // batches, empty and single-element runs, and runs with repeated indices.
 func TestScatterMatchesUpsert(t *testing.T) {
 	const tl, tr = 32, 64
@@ -190,16 +190,19 @@ func TestScatterMatchesUpsert(t *testing.T) {
 
 		dRef, dKrn := NewDense(tl, tr), NewDense(tl, tr)
 		sRef, sKrn := NewSparse(4), NewSparse(4)
+		rRef, rKrn := NewSparseRobin(4), NewSparseRobin(4)
 		for _, m := range ms {
 			for _, lp := range m.L {
 				for _, rp := range m.R {
 					dRef.Upsert(lp.Idx, rp.Idx, lp.Val*rp.Val)
 					sRef.Upsert(lp.Idx, rp.Idx, lp.Val*rp.Val)
+					rRef.Upsert(lp.Idx, rp.Idx, lp.Val*rp.Val)
 				}
 			}
 		}
 		dKrn.ScatterMatches(ms)
 		sKrn.ScatterMatches(ms)
+		rKrn.ScatterMatches(ms)
 
 		drain := func(a Accumulator) map[[2]uint32]float64 {
 			m := map[[2]uint32]float64{}
@@ -209,7 +212,7 @@ func TestScatterMatchesUpsert(t *testing.T) {
 		for _, cmp := range []struct {
 			name     string
 			ref, krn Accumulator
-		}{{"dense", dRef, dKrn}, {"sparse", sRef, sKrn}} {
+		}{{"dense", dRef, dKrn}, {"sparse", sRef, sKrn}, {"sparse-robin", rRef, rKrn}} {
 			if cmp.ref.Len() != cmp.krn.Len() {
 				t.Fatalf("trial %d %s: Len %d vs %d", trial, cmp.name, cmp.ref.Len(), cmp.krn.Len())
 			}

@@ -1,10 +1,6 @@
 package accum
 
-import (
-	"math/bits"
-
-	"fastcc/internal/hashtable"
-)
+import "math/bits"
 
 // Dense is the dense tile accumulator of paper Section 4.2. A tile of
 // TL × TR positions is stored as:
@@ -62,20 +58,11 @@ func (d *Dense) Upsert(l, r uint32, v float64) {
 	d.vals[p] += v
 }
 
-// Match is one co-iteration match: the left and right pair runs that share
-// a contraction key, contracted as the outer product L × R. Kernels batch
-// matches and scatter a whole batch per call, so the call boundary and the
-// accumulator field reloads amortize over the batch instead of recurring
-// per matched key.
-type Match struct {
-	L, R []hashtable.Pair
-}
-
 // ScatterMatches accumulates every match's outer product into the tile:
 // vals[l<<logTR|r] += lv·rv for each pair combination, matches in slice
 // order and each match in L-major order — the identical accumulation order
 // to the equivalent Upsert loop, so results are bit-for-bit the same. This
-// is the dense microkernel's inner loop: against per-update Upsert calls it
+// is the dense accumulator's inner loop: against per-update Upsert calls it
 // hoists the tile's field loads out of the whole batch, keeps the row base
 // l<<logTR in a register across each inner sweep, and exposes the
 // flat-index scatter to the compiler without a call boundary per

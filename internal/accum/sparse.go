@@ -26,11 +26,10 @@ func (s *Sparse) Upsert(l, r uint32, v float64) {
 
 // ScatterMatches accumulates every match's outer product into the table,
 // matches in slice order and each match in L-major order — the sparse
-// microkernel's inner loop. The key merge stays amortized in the backing
-// FloatTable (linear probing, grow at 85% load); what the specialization
-// removes is the interface/method hops per multiply-accumulate, with the
-// packed-key construction inline and the call boundary amortized over the
-// whole match batch.
+// accumulator's inner loop. The key merge stays amortized in the backing
+// FloatTable (linear probing, grow at 85% load); the packed-key
+// construction is inline and the call boundary is amortized over the
+// whole match batch instead of paid per multiply-accumulate.
 //
 //fastcc:hotpath
 func (s *Sparse) ScatterMatches(ms []Match) {
@@ -88,6 +87,17 @@ func NewSparseRobin(hint int) *SparseRobin {
 //fastcc:hotpath
 func (s *SparseRobin) Upsert(l, r uint32, v float64) {
 	s.t.Upsert(packLR(l, r), v)
+}
+
+// ScatterMatches upserts every match's outer product in Upsert order.
+func (s *SparseRobin) ScatterMatches(ms []Match) {
+	for _, m := range ms {
+		for _, lp := range m.L {
+			for _, rp := range m.R {
+				s.t.Upsert(packLR(lp.Idx, rp.Idx), lp.Val*rp.Val)
+			}
+		}
+	}
 }
 
 // Len returns the number of distinct touched positions.

@@ -3,8 +3,10 @@
 // partitioned into NL×NR tiles; the inputs are sharded into per-tile
 // open-addressing hash tables keyed by the contraction index; tile–tile
 // contractions run as dynamically scheduled parallel tasks, each
-// accumulating into a worker-local dense or sparse tile and draining into a
-// worker-local chunked COO list that is finally concatenated by reference.
+// accumulating into a worker-local dense or sparse tile and draining the
+// tile's nonzeros onto the worker's flat segment. Once every task is done,
+// one parallel pass sizes the result from the tasks' drained counts and
+// writes its values and decoded coordinates (output.go).
 //
 // The engine is split into three explicit stages so the Build phase can be
 // amortized across repeated contractions (the prepared-operand API):
@@ -45,11 +47,6 @@ type Config struct {
 	// Rep selects the input-tile representation: the paper's hash tables
 	// (default) or the sorted-array ablation.
 	Rep InputRep
-	// Kernel forces the tile microkernel; KernelAuto derives the
-	// specialization from (Rep, accumulator kind). KernelGeneric is always
-	// accepted (the pre-specialization loop, kept for baseline comparison);
-	// a specialized id must match the run's rep/accumulator or plan fails.
-	Kernel model.KernelID
 	// CacheBudget bounds the process-wide shard cache in bytes: > 0 is an
 	// explicit budget, < 0 disables eviction, 0 derives the default from the
 	// platform LLC (L3Bytes × DefaultBudgetLLCMultiple). Applied — and
@@ -249,9 +246,6 @@ func plan(l, r *coo.Matrix, cfg Config) (model.Decision, error) {
 			return model.Decision{}, fmt.Errorf("core: dense tile %dx%d exceeds addressable positions", tl, tr)
 		}
 	}
-	if err := resolveKernel(&dec, cfg); err != nil {
-		return model.Decision{}, err
-	}
 	return dec, nil
 }
 
@@ -329,10 +323,9 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 		blocksTotal = (nL + bl - 1) / bl * nbR
 	}
 	st.BlockL, st.BlockR, st.Blocks = bl, br, blocksTotal
-	// Kernel dispatch is resolved HERE, once per run: every tile task below
-	// calls the same direct function value out of kernelTable. The platform's
-	// probe depth (hash kernels' batch width) is likewise hoisted.
-	kern := selectKernel(dec.Kernel)
+	// The co-iteration loop is chosen once per run from the representation;
+	// the platform's probe depth (the hash loop's batch width) is hoisted.
+	sorted := ls.Key.Rep == RepSorted
 	probeBatch := cfg.Platform.ProbeBatch()
 	ctx := cfg.ctx()
 	// Per-worker shard pins: each pool worker pins both shards before its
@@ -341,7 +334,7 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 	// ContractOperands already keep the shards alive; the guard makes the
 	// reader set explicit — PinnedBytes reflects active workers, and the
 	// refcount, not the caller's discipline, is what stands between a
-	// concurrent Drop and the tables contractTilePair is reading.
+	// concurrent Drop and the tables the tile tasks are reading.
 	guard := scheduler.Guard{
 		Acquire: func(int) { ls.mustPin(); rs.mustPin() },
 		Release: func(int) { rs.Unpin(); ls.Unpin() },
@@ -360,7 +353,6 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 		if jEnd > nR {
 			jEnd = nR
 		}
-		var tasksDone int64
 		for ii := bi * bl; ii < iEnd; ii++ {
 			i := nonEmptyL[ii]
 			for jj := bj * br; jj < jEnd; jj++ {
@@ -368,16 +360,18 @@ func execute(ls, rs *Shard, dec model.Decision, threads int, cfg Config, st *Sta
 				// inside a block, matching the batched claim's latency of
 				// one task, not one block.
 				if ctx.Err() != nil {
-					cfg.Counters.AddKernelTasks(int(dec.Kernel), tasksDone)
 					return
 				}
+				j := nonEmptyR[jj]
 				start := wk.seg.Len()
-				kern(ls, rs, i, nonEmptyR[jj], wk, cfg.Counters, probeBatch)
+				if sorted {
+					contractSorted(ls.sortedAt(i), rs.sortedAt(j), wk, cfg.Counters)
+				} else {
+					contractHash(ls.sealedAt(i), rs.sealedAt(j), wk, cfg.Counters, probeBatch)
+				}
 				spans[ii*nR+jj] = taskSpan{seg: start, n: wk.seg.Len() - start, w: int32(w)}
-				tasksDone++
 			}
 		}
-		cfg.Counters.AddKernelTasks(int(dec.Kernel), tasksDone)
 	})
 	finished = true
 	if err != nil {

@@ -1,106 +1,23 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
-	"fastcc/internal/coo"
 	"fastcc/internal/hashtable"
 	"fastcc/internal/metrics"
 	"fastcc/internal/model"
-	"fastcc/internal/ref"
 )
-
-// TestKernelResolution pins the once-per-run dispatch: KernelAuto resolves
-// to the specialization matching (rep, accumulator), an explicit
-// KernelGeneric is honored, and a mismatched forced kernel fails at plan
-// time.
-func TestKernelResolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	l := randomMatrix(rng, 120, 30, 900)
-	r := randomMatrix(rng, 110, 30, 800)
-	cases := []struct {
-		rep  InputRep
-		acc  model.AccumKind
-		want model.KernelID
-	}{
-		{RepHash, model.AccumDense, model.KernelHashDense},
-		{RepHash, model.AccumSparse, model.KernelHashSparse},
-		{RepSorted, model.AccumDense, model.KernelSortedDense},
-		{RepSorted, model.AccumSparse, model.KernelSortedSparse},
-	}
-	for _, c := range cases {
-		cfg := Config{Threads: 2, TileL: 32, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
-		_, st, err := Contract(l, r, cfg)
-		if err != nil {
-			t.Fatalf("%v/%v: %v", c.rep, c.acc, err)
-		}
-		if st.Decision.Kernel != c.want {
-			t.Fatalf("%v/%v: resolved kernel %v want %v", c.rep, c.acc, st.Decision.Kernel, c.want)
-		}
-		cfg.Kernel = model.KernelGeneric
-		_, st, err = Contract(l, r, cfg)
-		if err != nil {
-			t.Fatalf("%v/%v generic: %v", c.rep, c.acc, err)
-		}
-		if st.Decision.Kernel != model.KernelGeneric {
-			t.Fatalf("%v/%v: forced generic resolved to %v", c.rep, c.acc, st.Decision.Kernel)
-		}
-	}
-	// A specialized kernel for the wrong representation is a plan error.
-	bad := Config{Threads: 2, TileL: 32, TileR: 32, Accum: model.AccumDense,
-		Rep: RepSorted, Kernel: model.KernelHashDense, Platform: tinyLLC}
-	if _, _, err := Contract(l, r, bad); err == nil {
-		t.Fatal("hash kernel on sorted rep did not fail plan")
-	}
-	bad = Config{Threads: 2, TileL: 32, TileR: 32, Accum: model.AccumSparse,
-		Rep: RepHash, Kernel: model.KernelHashDense, Platform: tinyLLC}
-	if _, _, err := Contract(l, r, bad); err == nil {
-		t.Fatal("dense kernel on sparse accumulator did not fail plan")
-	}
-}
-
-// TestKernelGenericMatchesSpecialized is the microkernel acceptance test:
-// for every (rep, accum) combination the specialized kernel must reproduce
-// the generic loop bit for bit — same sorted coordinates, same float64 bit
-// patterns — and both must match the reference contraction.
-func TestKernelGenericMatchesSpecialized(t *testing.T) {
-	rng := rand.New(rand.NewSource(313))
-	l := randomMatrix(rng, 310, 45, 2600)
-	r := randomMatrix(rng, 270, 45, 2200)
-	want := ref.MapToMatrixTensor(ref.ContractMatrix(l, r), l.ExtDim, r.ExtDim)
-	want.Sort()
-	combos := []struct {
-		name string
-		rep  InputRep
-		acc  model.AccumKind
-	}{
-		{"hash/dense", RepHash, model.AccumDense},
-		{"hash/sparse", RepHash, model.AccumSparse},
-		{"sorted/dense", RepSorted, model.AccumDense},
-		{"sorted/sparse", RepSorted, model.AccumSparse},
-	}
-	for _, c := range combos {
-		cfg := Config{Threads: 4, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
-		gen := cfg
-		gen.Kernel = model.KernelGeneric
-		spec := collectSorted(t, l, r, cfg)
-		base := collectSorted(t, l, r, gen)
-		if !coo.Equal(spec, want) {
-			t.Fatalf("%s: specialized kernel differs from reference", c.name)
-		}
-		assertBitIdentical(t, c.name+" generic-vs-specialized", base, spec)
-	}
-}
 
 // TestIterateSmallerSideByDistinctKeys is the heuristic regression test: an
 // asymmetric tile pair where the LEFT table has many distinct keys with one
 // pair each and the RIGHT has few keys with many pairs each. Iterating by
 // distinct-key count means the query count equals the right side's key
-// count; a pair-count (or fixed-side) heuristic would iterate the left.
-// Both the generic loop and the batched hash kernels must make the same
-// choice — their accumulation orders (and so the output bits) depend on it.
+// count; a pair-count (or fixed-side) heuristic would iterate the left. The
+// hash loop must make that choice under either accumulator — the
+// accumulation order (and so the output bits) depends on it.
 func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 	const manyKeys, fewKeys, pairsPerKey = 90, 7, 40
 	big := hashtable.NewSliceTable(manyKeys)
@@ -122,66 +39,53 @@ func TestIterateSmallerSideByDistinctKeys(t *testing.T) {
 		if iter.Len() != fewKeys || probeInto.Len() != manyKeys {
 			t.Fatalf("%s: chooseSides iterated the %d-key side", dir.name, iter.Len())
 		}
-		for _, kern := range []struct {
-			name string
-			run  func(wk *worker, ctr *metrics.Counters)
-		}{
-			{"generic", func(wk *worker, ctr *metrics.Counters) {
-				contractTilePair(dir.hl, dir.hr, wk, ctr)
-			}},
-			{"batched", func(wk *worker, ctr *metrics.Counters) {
-				contractHashDense(dir.hl, dir.hr, wk, ctr, hashtable.LookupBatchMax)
-			}},
-		} {
+		for _, kind := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
 			var ctr metrics.Counters
-			wk := newWorker(model.AccumDense, 128, 32, 0)
-			kern.run(wk, &ctr)
+			wk := newWorker(kind, 128, 64, 0)
+			contractHash(dir.hl, dir.hr, wk, &ctr, hashtable.LookupBatchMax)
 			if q := ctr.Snapshot().Queries; q != fewKeys {
-				t.Fatalf("%s/%s: %d queries, want %d (cheaper side not iterated)",
-					dir.name, kern.name, q, fewKeys)
+				t.Fatalf("%s/%v: %d queries, want %d (cheaper side not iterated)",
+					dir.name, kind, q, fewKeys)
 			}
 		}
 	}
 }
 
-// TestHashKernelProbeCounters checks the new observability: hash kernels
-// report probe batches, and hits+misses add up to queries.
+// TestHashKernelProbeCounters checks the per-loop accounting: every hash
+// run reports probe batches whose hits and misses add up to its queries,
+// and every sorted run, which merges instead of probing, reports none.
 func TestHashKernelProbeCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l := randomMatrix(rng, 200, 40, 1500)
 	r := randomMatrix(rng, 180, 40, 1300)
-	for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
-		var ctr metrics.Counters
-		_, st, err := Contract(l, r, Config{
-			Threads: 2, TileL: 32, TileR: 32, Accum: acc, Platform: tinyLLC, Counters: &ctr,
-		})
-		if err != nil {
-			t.Fatalf("accum=%v: %v", acc, err)
+	for _, rep := range []InputRep{RepHash, RepSorted} {
+		for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
+			var ctr metrics.Counters
+			if _, _, err := Contract(l, r, Config{
+				Threads: 2, TileL: 32, TileR: 32, Rep: rep, Accum: acc, Platform: tinyLLC, Counters: &ctr,
+			}); err != nil {
+				t.Fatalf("%v/%v: %v", rep, acc, err)
+			}
+			s := ctr.Snapshot()
+			if s.Queries == 0 {
+				t.Fatalf("%v/%v: no queries recorded", rep, acc)
+			}
+			if rep == RepSorted {
+				if s.ProbeBatches != 0 || s.ProbeHits != 0 || s.ProbeMisses != 0 {
+					t.Fatalf("sorted/%v recorded probe batches: %+v", acc, s)
+				}
+				continue
+			}
+			if s.ProbeBatches == 0 {
+				t.Fatalf("hash/%v: no probe batches recorded", acc)
+			}
+			if s.ProbeHits+s.ProbeMisses != s.Queries {
+				t.Fatalf("hash/%v: hits %d + misses %d != queries %d", acc, s.ProbeHits, s.ProbeMisses, s.Queries)
+			}
+			if s.ProbeHits == 0 {
+				t.Fatalf("hash/%v: contraction with output found no probe hits", acc)
+			}
 		}
-		s := ctr.Snapshot()
-		if s.ProbeBatches == 0 {
-			t.Fatalf("accum=%v: no probe batches recorded", acc)
-		}
-		if s.ProbeHits+s.ProbeMisses != s.Queries {
-			t.Fatalf("accum=%v: hits %d + misses %d != queries %d", acc, s.ProbeHits, s.ProbeMisses, s.Queries)
-		}
-		if s.ProbeHits == 0 {
-			t.Fatalf("accum=%v: contraction with output found no probe hits", acc)
-		}
-		if got := s.KernelTasks[int(st.Decision.Kernel)]; got != int64(st.Tasks) {
-			t.Fatalf("accum=%v: kernel %v ran %d tasks, stats say %d", acc, st.Decision.Kernel, got, st.Tasks)
-		}
-	}
-	// Sorted kernels probe nothing: the batch counters must stay zero.
-	var ctr metrics.Counters
-	if _, _, err := Contract(l, r, Config{
-		Threads: 2, TileL: 32, TileR: 32, Rep: RepSorted, Accum: model.AccumSparse,
-		Platform: tinyLLC, Counters: &ctr,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if s := ctr.Snapshot(); s.ProbeBatches != 0 || s.ProbeHits != 0 || s.ProbeMisses != 0 {
-		t.Fatalf("sorted rep recorded probe batches: %+v", s)
 	}
 }
 
@@ -248,45 +152,23 @@ func newBenchTilePair(nKeysL, nKeysR, pairsPerKey int) *benchTilePairData {
 	}
 }
 
-// BenchmarkTilePair compares the microkernel family on one tile pair per
-// (rep, accum) combination, with the generic loop as the in-benchmark
-// baseline — `go test -bench TilePair ./internal/core` answers "did the
-// specialization help" without the full experiment harness.
+// BenchmarkTilePair times the two co-iteration loops on one tile pair per
+// (rep, accum) combination: `go test -bench TilePair ./internal/core`.
 func BenchmarkTilePair(b *testing.B) {
 	const tl, tr = 64, 32
 	d := newBenchTilePair(1024, 512, 8)
-	run := func(name string, kind model.AccumKind, fn func(wk *worker)) {
-		b.Run(name, func(b *testing.B) {
-			wk := newWorker(kind, tl, tr, 1<<12)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn(wk)
-				wk.seg.Reset()
-			}
-		})
+	for _, kind := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
+		run := func(name string, fn func(wk *worker)) {
+			b.Run(fmt.Sprintf("%s/%v", name, kind), func(b *testing.B) {
+				wk := newWorker(kind, tl, tr, 1<<12)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					fn(wk)
+					wk.seg.Reset()
+				}
+			})
+		}
+		run("hash", func(wk *worker) { contractHash(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax) })
+		run("sorted", func(wk *worker) { contractSorted(d.sl, d.sr, wk, nil) })
 	}
-	run("hash/dense/generic", model.AccumDense, func(wk *worker) {
-		contractTilePair(d.hl, d.hr, wk, nil)
-	})
-	run("hash/dense/kernel", model.AccumDense, func(wk *worker) {
-		contractHashDense(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
-	})
-	run("hash/sparse/generic", model.AccumSparse, func(wk *worker) {
-		contractTilePair(d.hl, d.hr, wk, nil)
-	})
-	run("hash/sparse/kernel", model.AccumSparse, func(wk *worker) {
-		contractHashSparse(d.hl, d.hr, wk, nil, hashtable.LookupBatchMax)
-	})
-	run("sorted/dense/generic", model.AccumDense, func(wk *worker) {
-		contractTilePairSorted(d.sl, d.sr, wk, nil)
-	})
-	run("sorted/dense/kernel", model.AccumDense, func(wk *worker) {
-		contractSortedDense(d.sl, d.sr, wk, nil)
-	})
-	run("sorted/sparse/generic", model.AccumSparse, func(wk *worker) {
-		contractTilePairSorted(d.sl, d.sr, wk, nil)
-	})
-	run("sorted/sparse/kernel", model.AccumSparse, func(wk *worker) {
-		contractSortedSparse(d.sl, d.sr, wk, nil)
-	})
 }

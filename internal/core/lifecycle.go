@@ -12,7 +12,7 @@
 //   - Operand.Shard returns the shard pinned (+1); the engine holds that
 //     pin across the run and additionally pins per worker through the
 //     scheduler Guard, releasing at each worker's exit. Eviction can
-//     therefore never reclaim tables a contractTilePair reader is inside.
+//     therefore never reclaim tables a tile-task reader is inside.
 //   - Every built shard is charged to one process-wide LRU (shardLRU).
 //     When the resident footprint exceeds the budget, the coldest
 //     unpinned shards are retired, unmapped from their owning Operand,

@@ -79,6 +79,7 @@ func parkWorkers(key accKey, workers []*worker, finished bool) {
 			continue
 		}
 		wk.seg.Reset()
+		clear(wk.ms[:]) // a parked worker must not keep the run's shards reachable
 		b := int64(wk.seg.CapBytes())
 		if parkedSegmentBytes.Add(b) > parkedSegmentBudget {
 			parkedSegmentBytes.Add(-b)

@@ -9,7 +9,6 @@ import (
 
 	"fastcc/internal/accum"
 	"fastcc/internal/coo"
-	"fastcc/internal/metrics"
 	"fastcc/internal/model"
 	"fastcc/internal/ref"
 	"fastcc/internal/testutil"
@@ -41,10 +40,10 @@ func assertSameOrder(t *testing.T, what string, want, got *coo.Tensor) {
 }
 
 // TestOutputOrderDeterministic is the output path's order contract: for
-// every (representation, accumulator) combination, the specialized kernel
-// and the generic loop produce the same tensor in the same element order at
-// 1, 2 and 8 threads, whether the shards are built cold, reused from the
-// operand cache, or reloaded from the spill tier.
+// every (representation, accumulator) combination, runs produce the same
+// tensor in the same element order at 1, 2 and 8 threads, whether the
+// shards are built cold, reused from the operand cache, or reloaded from
+// the spill tier.
 func TestOutputOrderDeterministic(t *testing.T) {
 	enableSpill(t, 0)
 	defer SetShardBudget(-1)
@@ -87,34 +86,31 @@ func TestOutputOrderDeterministic(t *testing.T) {
 			}
 			assertSameOrder(t, c.name+" "+what, first, got)
 		}
-		for _, kernel := range []model.KernelID{model.KernelAuto, model.KernelGeneric} {
-			for _, threads := range []int{1, 2, 8} {
-				l, r := NewOperand(lm), NewOperand(rm)
-				cfg := Config{Threads: threads, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep,
-					Kernel: kernel, Platform: tinyLLC}
-				run := func(what string, reused bool) {
-					t.Helper()
-					out, st, err := ContractOperands(l, r, cfg)
-					if err != nil {
-						t.Fatalf("%s %s: %v", c.name, what, err)
-					}
-					if st.ShardReusedL != reused || st.ShardReusedR != reused {
-						t.Fatalf("%s %s: shard reuse %v/%v, want %v", c.name, what, st.ShardReusedL, st.ShardReusedR, reused)
-					}
-					check(what, out)
+		for _, threads := range []int{1, 2, 8} {
+			l, r := NewOperand(lm), NewOperand(rm)
+			cfg := Config{Threads: threads, TileL: 17, TileR: 32, Accum: c.acc, Rep: c.rep, Platform: tinyLLC}
+			run := func(what string, reused bool) {
+				t.Helper()
+				out, st, err := ContractOperands(l, r, cfg)
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.name, what, err)
 				}
-				tag := fmt.Sprintf("%v/T=%d", kernel, threads)
-				run(tag+" cold", false)
-				run(tag+" reused", true)
-				before := CacheStats()
-				SetShardBudget(1) // spill both shards; the next run reloads them
-				run(tag+" spill-reloaded", true)
-				if d := CacheStats().SpillReads - before.SpillReads; d < 2 {
-					t.Fatalf("%s %s: %d spill reads, want both shards reloaded", c.name, tag, d)
+				if st.ShardReusedL != reused || st.ShardReusedR != reused {
+					t.Fatalf("%s %s: shard reuse %v/%v, want %v", c.name, what, st.ShardReusedL, st.ShardReusedR, reused)
 				}
-				l.Close()
-				r.Close()
+				check(what, out)
 			}
+			tag := fmt.Sprintf("T=%d", threads)
+			run(tag+" cold", false)
+			run(tag+" reused", true)
+			before := CacheStats()
+			SetShardBudget(1) // spill both shards; the next run reloads them
+			run(tag+" spill-reloaded", true)
+			if d := CacheStats().SpillReads - before.SpillReads; d < 2 {
+				t.Fatalf("%s %s: %d spill reads, want both shards reloaded", c.name, tag, d)
+			}
+			l.Close()
+			r.Close()
 		}
 	}
 }
@@ -161,45 +157,58 @@ func TestOutputDimsDecode(t *testing.T) {
 	}
 }
 
+// faultyAcc wraps a worker's accumulator with a one-shot fault: its first
+// ScatterMatches accumulates a stray update and then panics, standing in
+// for any bug inside a tile task; later calls pass straight through.
+type faultyAcc struct {
+	accum.Accumulator
+	fired bool
+}
+
+func (f *faultyAcc) ScatterMatches(ms []accum.Match) {
+	if !f.fired {
+		f.fired = true
+		f.Upsert(0, 0, 1)
+		panic("injected kernel fault")
+	}
+	f.Accumulator.ScatterMatches(ms)
+}
+
 // TestPanickedRunDropsWorkers panics a one-worker run inside a tile task —
-// after the kernel has accumulated, before it drains — recovers, and
-// demands that the next same-shape run start from clean accumulators: the
+// after the task has accumulated, before it drains — recovers, and demands
+// that the next same-shape run start from clean accumulators: the
 // interrupted worker must not go back to the freelist holding partial sums.
+// The fault is planted in the parked worker the faulting run will take.
 func TestPanickedRunDropsWorkers(t *testing.T) {
 	base := testutil.Capture(testutil.Gauge{Name: "drain segments", Read: DrainSegmentsOutstanding})
 	rng := rand.New(rand.NewSource(91))
 	l := randomMatrix(rng, 120, 40, 900)
 	r := randomMatrix(rng, 150, 40, 900)
-	saved := kernelTable
-	defer func() { kernelTable = saved }()
-	for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
-		cfg := Config{Threads: 1, TileL: 16, TileR: 16, Accum: acc}
-		want, _, err := Contract(l, r, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, k := range saved {
-			if k != nil {
-				kernelTable[id] = func(_, _ *Shard, _, _ int, wk *worker, _ *metrics.Counters, _ int) {
-					wk.acc.Upsert(0, 0, 1)
-					panic("injected kernel fault")
-				}
+	for _, rep := range []InputRep{RepHash, RepSorted} {
+		for _, acc := range []model.AccumKind{model.AccumDense, model.AccumSparse} {
+			cfg := Config{Threads: 1, TileL: 16, TileR: 16, Accum: acc, Rep: rep}
+			want, _, err := Contract(l, r, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%v: the injected kernel fault did not panic", acc)
-				}
+			key := accKey{kind: acc, tl: 16, tr: 16}
+			wk := takeWorker(key, 16)
+			wk.acc = &faultyAcc{Accumulator: wk.acc}
+			parkWorkers(key, []*worker{wk}, true)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%v/%v: the injected kernel fault did not panic", rep, acc)
+					}
+				}()
+				_, _, _ = Contract(l, r, cfg)
 			}()
-			_, _, _ = Contract(l, r, cfg)
-		}()
-		kernelTable = saved
-		got, _, err := Contract(l, r, cfg)
-		if err != nil {
-			t.Fatal(err)
+			got, _, err := Contract(l, r, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameOrder(t, fmt.Sprintf("%v/%v run after a recovered panic", rep, acc), want, got)
 		}
-		assertSameOrder(t, fmt.Sprintf("%v run after a recovered panic", acc), want, got)
 	}
 	base.Assert(t)
 }

@@ -5,49 +5,63 @@ import (
 	"sort"
 )
 
-// Experiments maps experiment names (as accepted by fastcc-bench -exp) to
-// their runners. "fig2" and "fig4" take the suite from the dispatcher.
-var runners = map[string]func(Config, string) error{
-	"table1":     func(c Config, _ string) error { return RunTable1(c) },
-	"table2":     func(c Config, _ string) error { return RunTable2(c) },
-	"table3":     func(c Config, _ string) error { return RunTable3(c) },
-	"fig2":       RunFig2,
-	"fig3":       func(c Config, _ string) error { return RunFig3(c) },
-	"fig4":       RunFig4,
-	"fig5":       func(c Config, _ string) error { return RunFig5(c) },
-	"ablate":     func(c Config, _ string) error { return RunAblations(c) },
-	"model":      func(c Config, _ string) error { return RunModelAccuracy(c) },
-	"phases":     func(c Config, _ string) error { return RunPhases(c) },
-	"reuse":      func(c Config, _ string) error { return RunReuse(c) },
-	"buildscale": func(c Config, _ string) error { return RunBuildScale(c) },
-	"hotpath":    RunHotpath,
-	"spill":      func(c Config, _ string) error { return RunSpill(c) },
+// experiment is one entry of the registry: a name accepted by fastcc-bench
+// -exp and its runner. "fig2" and "fig4" take the suite from the dispatcher.
+type experiment struct {
+	name string
+	run  func(Config, string) error
+}
+
+// registry lists every experiment in the order "all" runs them, so "all" and
+// Names cannot drift apart.
+var registry = []experiment{
+	{"table1", func(c Config, _ string) error { return RunTable1(c) }},
+	{"table2", func(c Config, _ string) error { return RunTable2(c) }},
+	{"table3", func(c Config, _ string) error { return RunTable3(c) }},
+	{"fig2", RunFig2},
+	{"fig3", func(c Config, _ string) error { return RunFig3(c) }},
+	{"fig4", RunFig4},
+	{"fig5", func(c Config, _ string) error { return RunFig5(c) }},
+	{"ablate", func(c Config, _ string) error { return RunAblations(c) }},
+	{"model", func(c Config, _ string) error { return RunModelAccuracy(c) }},
+	{"phases", func(c Config, _ string) error { return RunPhases(c) }},
+	{"reuse", func(c Config, _ string) error { return RunReuse(c) }},
+	{"buildscale", func(c Config, _ string) error { return RunBuildScale(c) }},
+	{"spill", func(c Config, _ string) error { return RunSpill(c) }},
 }
 
 // Names lists the available experiments in stable order.
 func Names() []string {
-	names := make([]string, 0, len(runners))
-	for n := range runners {
-		names = append(names, n)
+	names := make([]string, 0, len(registry))
+	for _, e := range registry {
+		names = append(names, e.name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Run dispatches one experiment by name; "all" runs everything in order.
+// Run dispatches one experiment by name; "all" runs everything in registry
+// order.
 func Run(cfg Config, name, suite string) error {
-	if name == "all" {
-		for _, n := range []string{"table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "ablate", "model", "phases", "reuse", "buildscale", "hotpath", "spill"} {
-			fmt.Fprintf(cfg.writer(), "\n===== %s =====\n\n", n)
-			if err := Run(cfg, n, suite); err != nil {
-				return err
+	todo := registry
+	if name != "all" {
+		todo = nil
+		for _, e := range registry {
+			if e.name == name {
+				todo = []experiment{e}
 			}
 		}
-		return nil
+		if todo == nil {
+			return fmt.Errorf("experiments: unknown experiment %q (have %v and \"all\")", name, Names())
+		}
 	}
-	fn, ok := runners[name]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (have %v and \"all\")", name, Names())
+	for _, e := range todo {
+		if name == "all" {
+			fmt.Fprintf(cfg.writer(), "\n===== %s =====\n\n", e.name)
+		}
+		if err := e.run(cfg, suite); err != nil {
+			return err
+		}
 	}
-	return fn(cfg, suite)
+	return nil
 }

@@ -188,14 +188,42 @@ func TestDispatch(t *testing.T) {
 		t.Fatal("unknown experiment should error")
 	}
 	names := Names()
-	if len(names) != 14 {
+	if len(names) != 13 {
 		t.Fatalf("Names() = %v", names)
+	}
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			t.Fatalf("experiment %q registered twice", names[i])
+		}
 	}
 	if err := Run(cfg, "model", "all"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "meas/pred") {
 		t.Fatal("model experiment output missing")
+	}
+}
+
+// TestRunAllWalksRegistry runs "all" (the fastcc-bench default) end to end
+// and checks it runs every registered experiment exactly once.
+func TestRunAllWalksRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var buf strings.Builder
+	cfg := tinyConfig(&buf)
+	cfg.Verify = false
+	if err := Run(cfg, "all", "all"); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if got := strings.Count(out, "\n===== "); got != len(Names()) {
+		t.Fatalf("all ran %d experiments, want %d (%v)", got, len(Names()), Names())
+	}
+	for _, n := range Names() {
+		if c := strings.Count(out, "\n===== "+n+" =====\n"); c != 1 {
+			t.Fatalf("all ran %q %d times, want 1", n, c)
+		}
 	}
 }
 

@@ -51,6 +51,15 @@ func RunFig3(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		// One untimed run at the sweep's widest thread count first, so the
+		// worker pool, the accumulator freelist and the heap are warm before
+		// T=1 is timed; otherwise T=1 alone pays the warm-up and every ratio
+		// is inflated.
+		warm := cfg
+		warm.Threads = counts[len(counts)-1]
+		if _, _, _, err := runFastCC(warm, l, r, spec); err != nil {
+			return fmt.Errorf("%s warm-up: %w", cs.ID, err)
+		}
 		row := []string{cs.ID}
 		base := 0.0
 		for _, n := range counts {

@@ -27,20 +27,11 @@ type Counters struct {
 	// Output counts nonzeros appended to the output COO list.
 	Output atomic.Int64
 	// ProbeBatches counts batched sealed-table probe calls issued by the
-	// hash microkernels; ProbeHits/ProbeMisses split the individual keys
+	// hash co-iteration loop; ProbeHits/ProbeMisses split the individual keys
 	// those batches resolved into present and absent. Queries still counts
 	// every key, so Table 1 comparisons are unaffected by batching.
 	ProbeBatches, ProbeHits, ProbeMisses atomic.Int64
-	// KernelTasks counts tile-pair tasks executed per microkernel, indexed
-	// by model.KernelID (kernelSlots bounds the id space so this package
-	// stays import-free; out-of-range ids are dropped).
-	KernelTasks [kernelSlots]atomic.Int64
 }
-
-// kernelSlots sizes the per-kernel task counter array. Must be at least
-// model.NumKernels; kept a couple of slots wider so a new kernel id does
-// not need a lock-step metrics change.
-const kernelSlots = 8
 
 // AddQueries records n input-table queries. Safe on a nil receiver.
 func (c *Counters) AddQueries(n int64) {
@@ -92,15 +83,6 @@ func (c *Counters) AddProbeBatches(batches, hits, misses int64) {
 	c.ProbeBatches.Add(batches)
 	c.ProbeHits.Add(hits)
 	c.ProbeMisses.Add(misses)
-}
-
-// AddKernelTasks records n tile-pair tasks executed by kernel id (a
-// model.KernelID); ids outside the counter array are dropped.
-func (c *Counters) AddKernelTasks(id int, n int64) {
-	if c == nil || id < 0 || id >= kernelSlots {
-		return
-	}
-	c.KernelTasks[id].Add(n)
 }
 
 // CacheCounters aggregates shard-cache lifecycle statistics: how often the
@@ -217,11 +199,9 @@ type Snapshot struct {
 	WorkspaceWords int64
 	Output         int64
 	// ProbeBatches/ProbeHits/ProbeMisses are the batched-probe statistics
-	// of the hash microkernels (zero under the generic or sorted kernels).
+	// of the hash co-iteration loop (zero under RepSorted, which merges
+	// instead of probing).
 	ProbeBatches, ProbeHits, ProbeMisses int64
-	// KernelTasks is the per-kernel tile-task histogram, indexed by
-	// model.KernelID.
-	KernelTasks [kernelSlots]int64
 }
 
 // Snapshot returns the current counter values; zero-valued on nil receiver.
@@ -229,7 +209,7 @@ func (c *Counters) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
 	}
-	s := Snapshot{
+	return Snapshot{
 		Queries:        c.Queries.Load(),
 		Volume:         c.Volume.Load(),
 		Updates:        c.Updates.Load(),
@@ -239,10 +219,6 @@ func (c *Counters) Snapshot() Snapshot {
 		ProbeHits:      c.ProbeHits.Load(),
 		ProbeMisses:    c.ProbeMisses.Load(),
 	}
-	for i := range c.KernelTasks {
-		s.KernelTasks[i] = c.KernelTasks[i].Load()
-	}
-	return s
 }
 
 // String renders the snapshot compactly for logs and experiment tables.

@@ -30,75 +30,6 @@ func (k AccumKind) String() string {
 	return fmt.Sprintf("AccumKind(%d)", int(k))
 }
 
-// KernelID names one member of the tile microkernel family: the inner
-// loop the contract phase runs per tile pair. The four specialized kernels
-// cover the {hash, sorted} representation × {dense, sparse} accumulator
-// grid; KernelGeneric is the single pre-specialization loop kept as the
-// reference implementation (and as the baseline the hotpath experiment
-// measures the specialized kernels against).
-type KernelID int
-
-const (
-	// KernelAuto lets SelectKernel pick the specialized kernel matching
-	// the run's representation and accumulator.
-	KernelAuto KernelID = iota
-	// KernelGeneric forces the generic co-iteration loop with interface
-	// accumulator dispatch — the reference the specialized family is
-	// checked (bit-for-bit) and benchmarked against.
-	KernelGeneric
-	// KernelHashDense co-iterates sealed hash tables with batched probes
-	// and scatters straight into the dense tile grid.
-	KernelHashDense
-	// KernelHashSparse co-iterates sealed hash tables with batched probes
-	// and upserts into the sparse (hash) accumulator.
-	KernelHashSparse
-	// KernelSortedDense merges sorted tiles and scatters into the dense
-	// grid.
-	KernelSortedDense
-	// KernelSortedSparse merges sorted tiles into the sparse accumulator.
-	KernelSortedSparse
-
-	// NumKernels bounds the kernel-id space for counter arrays.
-	NumKernels = int(KernelSortedSparse) + 1
-)
-
-func (k KernelID) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelGeneric:
-		return "generic"
-	case KernelHashDense:
-		return "hash-dense"
-	case KernelHashSparse:
-		return "hash-sparse"
-	case KernelSortedDense:
-		return "sorted-dense"
-	case KernelSortedSparse:
-		return "sorted-sparse"
-	}
-	return fmt.Sprintf("KernelID(%d)", int(k))
-}
-
-// SelectKernel picks the specialized microkernel for a run: the sorted flag
-// carries the input representation (core.InputRep, which this package must
-// not import), kind the resolved accumulator. AccumAuto never reaches here
-// — Decide/ForceKind resolve the kind first — but map it to the generic
-// loop rather than guessing.
-func SelectKernel(sorted bool, kind AccumKind) KernelID {
-	switch {
-	case sorted && kind == AccumDense:
-		return KernelSortedDense
-	case sorted && kind == AccumSparse:
-		return KernelSortedSparse
-	case !sorted && kind == AccumDense:
-		return KernelHashDense
-	case !sorted && kind == AccumSparse:
-		return KernelHashSparse
-	}
-	return KernelGeneric
-}
-
 // maxTileSide caps tile sides so intra-tile indices fit in uint32 (tile
 // tables and accumulators store them as uint32).
 const maxTileSide = uint64(1) << 31
@@ -118,12 +49,6 @@ type Decision struct {
 	Kind  AccumKind
 	TileL uint64
 	TileR uint64
-	// Kernel is the tile microkernel the contract phase will run, resolved
-	// by the engine from the representation and accumulator kind (or forced
-	// by the caller). Zero (KernelAuto) in a raw Decide output; the engine's
-	// plan step fills it in so Stats exposes the choice.
-	Kernel KernelID
-
 	// PL and PR are the input densities p_L = nnz_L/(L·C), p_R = nnz_R/(R·C).
 	PL, PR float64
 	// PNonzero is the estimated output density 1-(1-pL·pR)^C (Section 5.1).

@@ -11,7 +11,7 @@ import (
 
 // Platform describes the machine parameters the model needs: core count,
 // shared last-level cache capacity, the floating-point word size DT, and
-// the microarchitectural parameters the tile microkernels dispatch on
+// the microarchitectural parameters the tile co-iteration loops use
 // (cache-line size and probe software-pipeline depth). The paper evaluates
 // two platforms, reproduced here as profiles; Auto derives a profile for
 // the current machine.

@@ -1,7 +1,7 @@
 // Package batchlen checks the length contracts of the batched probe and
 // scatter APIs at their call sites.
 //
-// The hot microkernels (internal/core/kernels.go) drive two APIs whose
+// The tile co-iteration loops (internal/core/kernels.go) drive two APIs whose
 // correctness rests on length relations the type system cannot express:
 //
 //   - hashtable.Sealed.LookupBatch(keys, out) requires len(out) >=

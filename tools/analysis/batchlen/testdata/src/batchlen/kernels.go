@@ -1,5 +1,5 @@
 // Fixture call sites for the batchlen length contracts, shaped like the
-// real microkernels in internal/core/kernels.go.
+// real co-iteration loops in internal/core/kernels.go.
 package batchlen
 
 import (

@@ -10,7 +10,7 @@
 //     the interface in the program, and indirect calls through function
 //     values resolve through a flow-insensitive points-to pass
 //     (pointsto.go) that tracks func literals and declared functions into
-//     variables, struct fields and dispatch tables (kernelTable-shaped).
+//     variables, struct fields and arrays of functions (dispatch tables).
 //
 // A site whose callee set the analysis cannot account for — a func value of
 // unanalyzable origin, an interface declared outside the program, a call

@@ -115,9 +115,8 @@ func exprText(e ast.Expr) string {
 	}
 }
 
-// TestDevirtTableDispatch is the kernelTable shape from
-// internal/core/kernels.go: named kernels registered in a fixed dispatch
-// array, called through an index read. The call must resolve to exactly the
+// TestDevirtTableDispatch is the dispatch-table shape: named kernels
+// registered in a fixed array, called through an index read. The call must resolve to exactly the
 // registered kernels and count as a devirtualized func-value site.
 func TestDevirtTableDispatch(t *testing.T) {
 	prog := checkProgram(t, []string{"kern"}, map[string]string{"kern": `package kern
@@ -127,10 +126,10 @@ type kernel func(x []float64) int
 func kSum(x []float64) int { return len(x) }
 func kMax(x []float64) int { return cap(x) }
 
-var kernelTable = [2]kernel{kSum, kMax}
+var dispatchTable = [2]kernel{kSum, kMax}
 
 func dispatch(which int, x []float64) int {
-	kern := kernelTable[which]
+	kern := dispatchTable[which]
 	return kern(x)
 }
 `})

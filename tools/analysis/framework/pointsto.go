@@ -9,11 +9,10 @@
 //     types.Var — fields are field-sensitive but receiver-insensitive: every
 //     instance of a struct shares its field's location),
 //   - the merged elements of a container (slice, array, map) of functions,
-//     one location per container variable or field (kernelTable-shaped
-//     dispatch tables), and
+//     one location per container variable or field (dispatch tables), and
 //   - the results of each function with source, one location per (function,
-//     result index), which is how func-returning helpers like selectKernel
-//     propagate their table reads to their callers.
+//     result index), which is how func-returning helpers that index a
+//     dispatch table propagate their table reads to their callers.
 //
 // Seeding walks every loaded file once: function literals and uses of
 // declared functions as values flow into the location they are assigned,

@@ -12,7 +12,7 @@ import "mempool"
 
 var sp mempool.SlicePool
 
-// --- dispatch-table shape (internal/core's kernelTable) ---
+// --- dispatch-table shape ---
 
 type kernel func(b []float64)
 
@@ -30,11 +30,11 @@ func kSum(b []float64) {
 	_ = t
 }
 
-var kernelTable = [2]kernel{kStash, kSum}
+var dispatchTable = [2]kernel{kStash, kSum}
 
 func tableDispatch(which int) {
 	buf := sp.Get(64)
-	kernelTable[which](buf) // want `pool-obtained memory passed to kStash escapes via parameter b \(stored in a package variable\)`
+	dispatchTable[which](buf) // want `pool-obtained memory passed to kStash escapes via parameter b \(stored in a package variable\)`
 	sp.Put(buf)
 }
 
