@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-reuse bench-buildscale bench-spill bench-spill-smoke serve-smoke ci
+.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -99,33 +99,6 @@ bench-smoke:
 	$(GO) test -bench=Reuse -benchtime=1x -run=^$$ .
 	$(GO) test -bench=OutputPath -benchtime=1x -run=^$$ ./internal/core
 	$(GO) test -bench=TilePair -benchtime=1x -run=^$$ ./internal/core
-	$(GO) run ./cmd/fastcc-bench -exp buildscale -scale-frostt 0.0005 -repeats 1 -threads 2 -platform desktop8 > /dev/null
-
-# Regenerate the checked-in BENCH_buildscale.json: Build-phase wall time
-# against the worker count at fixed nnz (must be flat or falling — the
-# partitioned build reads O(nnz) total regardless of workers), plus the
-# cold/warm contract geomeans comparable with BENCH_reuse.json.
-bench-buildscale:
-	$(GO) run ./cmd/fastcc-bench -exp buildscale -scale-frostt 0.002 -repeats 5 -threads 8 -platform desktop8 > BENCH_buildscale.json
-
-# Regenerate the checked-in BENCH_reuse.json (cold vs warm comparison on
-# the FROSTT suite at benchmark scale).
-bench-reuse:
-	$(GO) run ./cmd/fastcc-bench -exp reuse -scale-frostt 0.002 -repeats 7 -platform desktop8 > BENCH_reuse.json
-
-# Regenerate the checked-in BENCH_spill.json: evict-then-contract timed with
-# the disk tier off (rebuild) and on (re-pin from the spill file) on the
-# FROSTT suite. The experiment errors if any re-pin leg missed the disk
-# cache or degraded through a spill fallback.
-bench-spill:
-	$(GO) run ./cmd/fastcc-bench -exp spill -scale-frostt 0.002 -repeats 7 -platform desktop8 > BENCH_spill.json
-
-# Tiny-scale disk-tier smoke: one evict/spill/re-pin pass per FROSTT case —
-# RunSpill errors on any fallback or missed reload — plus the schema check
-# over the checked-in BENCH_spill.json.
-bench-spill-smoke:
-	$(GO) run ./cmd/fastcc-bench -exp spill -scale-frostt 0.0005 -repeats 1 -threads 2 -platform desktop8 > /dev/null
-	$(GO) test ./internal/experiments -run 'TestRunSpillEmitsValidJSON|TestBenchSpillArtifact'
 
 # End-to-end daemon gate: build fastcc-serve and fastcc-client, start the
 # daemon on a free port with a deliberately small cache budget and tenant
@@ -137,4 +110,4 @@ serve-smoke:
 	$(GO) build -o bin/fastcc-client ./cmd/fastcc-client
 	sh tools/serve_smoke.sh bin
 
-ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-spill-smoke serve-smoke
+ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke serve-smoke

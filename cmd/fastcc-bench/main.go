@@ -5,9 +5,9 @@
 //	fastcc-bench -exp fig2 -suite frostt      # speedups over Sparta
 //	fastcc-bench -exp all -scale-frostt 0.05  # everything, bigger inputs
 //
-// Available experiments: table1 table2 table3 fig2 fig3 fig4 fig5 ablate,
-// or "all". Scales of 1.0 approximate paper-sized inputs (hours of compute
-// and tens of GB); the defaults finish on a laptop in minutes.
+// `fastcc-bench -h` lists the available experiments; "all" runs every one.
+// Scales of 1.0 approximate paper-sized inputs (hours of compute and tens
+// of GB); the defaults finish on a laptop in minutes.
 package main
 
 import (

@@ -152,8 +152,6 @@ type options struct {
 	shardBudget  int64
 	tenant       string
 	tenantSet    bool
-	spillDir     string
-	spillBudget  int64
 }
 
 // resolveOptions applies the options in order and validates the combination
@@ -199,12 +197,6 @@ func (o *options) validate() error {
 		if err := validTenant(o.tenant); err != nil {
 			return fmt.Errorf("%w: WithTenant(%q): %v", ErrBadOption, o.tenant, err)
 		}
-	}
-	if o.spillBudget < 0 {
-		return fmt.Errorf("%w: WithSpillBudget(%d) is negative (0 means unbounded)", ErrBadOption, o.spillBudget)
-	}
-	if o.spillBudget > 0 && o.spillDir == "" {
-		return fmt.Errorf("%w: WithSpillBudget needs WithSpillDir on the same run", ErrBadOption)
 	}
 	return nil
 }
@@ -268,32 +260,10 @@ func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx =
 // shards are evicted and their storage recycled; shards pinned by in-flight
 // contractions are never touched. bytes > 0 sets an explicit budget,
 // bytes < 0 disables eviction entirely, and 0 (the default) derives a budget
-// from the platform's last-level cache size. The budget is applied at the
-// start of the run carrying this option and stays in force until another run
-// sets a different one.
+// from the platform's last-level cache size. The cache is shared, but the
+// budget is per run: every run applies its own at its start, so a later run
+// without this option resets the budget to the LLC-derived default.
 func WithShardBudget(bytes int64) Option { return func(o *options) { o.shardBudget = bytes } }
-
-// WithSpillDir enables the shard cache's disk tier for this run and every
-// later one: when the byte budget (WithShardBudget) or a tenant quota evicts
-// a cold shard, its tables are serialized into a compact checksummed file
-// under dir instead of being thrown away, and the next contraction needing
-// that shard reads the file back — skipping the full re-linearize + re-hash
-// rebuild. Every way a read-back can go wrong (missing file, truncation,
-// checksum mismatch, stale generation stamp) degrades to a plain rebuild
-// with a typed fault counter, never a wrong answer.
-//
-// Like WithShardBudget the setting is process-wide and sticky: it takes
-// effect at the start of the run carrying the option and stays in force
-// until ConfigureSpill changes it. Files are deleted as their shards reload
-// or drop; use ConfigureSpill with persist=true for a warm-restart cache
-// that outlives the process.
-func WithSpillDir(dir string) Option { return func(o *options) { o.spillDir = dir } }
-
-// WithSpillBudget bounds the spill directory's on-disk bytes; the directory
-// makes room oldest-first, and a write that still cannot fit falls back to
-// plain eviction. Zero (the default) means unbounded. Requires WithSpillDir
-// on the same run.
-func WithSpillBudget(bytes int64) Option { return func(o *options) { o.spillBudget = bytes } }
 
 // ConfigureSpill sets the process-wide spill tier directly: dir enables
 // spill-to-disk for shard-cache evictions (empty string disables it),

@@ -49,17 +49,11 @@ type Config struct {
 	Rep InputRep
 	// CacheBudget bounds the process-wide shard cache in bytes: > 0 is an
 	// explicit budget, < 0 disables eviction, 0 derives the default from the
-	// platform LLC (L3Bytes × DefaultBudgetLLCMultiple). Applied — and
-	// enforced — at the start of every run; the last run's setting wins.
+	// platform LLC (L3Bytes × DefaultBudgetLLCMultiple). Every run applies —
+	// and enforces — its own value at its start, so a run that leaves it 0
+	// resets the budget to the LLC-derived default, whatever an earlier run
+	// set.
 	CacheBudget int64
-	// SpillDir, when non-empty, enables the disk tier (spill.go): shards
-	// the budget evicts are serialized there and reloaded at the next pin
-	// instead of rebuilt. SpillBudget bounds the directory in bytes (<= 0
-	// unlimited). Like CacheBudget, applied at the start of the run; an
-	// EMPTY SpillDir leaves the process-wide spill configuration unchanged
-	// (use ConfigureSpill to disable the tier explicitly).
-	SpillDir    string
-	SpillBudget int64
 	// Tenant, when non-empty, charges every shard this run builds or reuses
 	// to the named tenant's cache account (tenant.go): the shard bytes count
 	// against the tenant's quota, quota overruns are settled by evicting the
@@ -138,11 +132,8 @@ func ContractOperands(l, r *Operand, cfg Config) (*coo.Tensor, *Stats, error) {
 	if cfg.Platform == (model.Platform{}) {
 		cfg.Platform = model.Auto()
 	}
-	// (Re)apply this run's shard-cache budget and spill configuration
-	// before any build charges the cache or any eviction could spill.
-	if err := configureSpill(cfg.SpillDir, cfg.SpillBudget); err != nil {
-		return nil, nil, err
-	}
+	// (Re)apply this run's shard-cache budget before any build charges the
+	// cache.
 	shardLRU.setBudget(resolveBudget(cfg.CacheBudget, cfg.Platform))
 	threads := scheduler.Workers(cfg.Threads)
 	st := &Stats{Threads: threads}

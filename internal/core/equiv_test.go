@@ -142,11 +142,14 @@ func TestShardReuseBitIdentity(t *testing.T) {
 // force-evict everything with a 1-byte budget, contract again over the
 // rebuilt shards, and demand bit-identical output — for every
 // {representation × accumulator} combination, plus a run whose own
-// adversarially small CacheBudget forces rebuilds on every call.
+// adversarially small CacheBudget forces rebuilds on every call, and a run
+// showing that a zero CacheBudget resets, not inherits, an earlier run's.
 func TestEvictionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	lm := randomMatrix(rng, 300, 40, 2500)
 	rm := randomMatrix(rng, 260, 40, 2000)
+	// A 256-byte LLC derives a 16 KiB default budget, below either shard.
+	budgetLLC := model.Platform{Name: "tiny-budget-test", Cores: 4, L3Bytes: 256, WordBytes: 8}
 
 	type combo struct {
 		name string
@@ -174,7 +177,7 @@ func TestEvictionEquivalence(t *testing.T) {
 
 		// Force-evict every resident shard, then rebuild.
 		before := CacheStats()
-		SetShardBudget(1)
+		setShardBudget(1)
 		if after := CacheStats(); after.Evictions <= before.Evictions {
 			t.Fatalf("%s: 1-byte budget evicted nothing (%d -> %d)", c.name, before.Evictions, after.Evictions)
 		}
@@ -192,10 +195,28 @@ func TestEvictionEquivalence(t *testing.T) {
 		squeezed, _ := run(tight)
 		assertBitIdentical(t, c.name+" squeezed", cold, squeezed)
 
+		// The budget is per run, not sticky: after a run that disables
+		// eviction, a run that leaves CacheBudget 0 re-applies the
+		// LLC-derived default at its start and evicts both shards.
+		lifted := cfg
+		lifted.CacheBudget = -1
+		run(lifted)
+		before = CacheStats()
+		reset := cfg
+		reset.Platform = budgetLLC
+		defaulted, st := run(reset)
+		if after := CacheStats(); after.Evictions <= before.Evictions {
+			t.Fatalf("%s: zero CacheBudget kept the previous run's unlimited budget (evictions %d -> %d)", c.name, before.Evictions, after.Evictions)
+		}
+		if st.ShardReusedL || st.ShardReusedR {
+			t.Fatalf("%s: run under the LLC-derived budget reused a shard it should have evicted", c.name)
+		}
+		assertBitIdentical(t, c.name+" default budget", cold, defaulted)
+
 		l.Close()
 		r.Close()
 	}
-	SetShardBudget(-1)
+	setShardBudget(-1)
 }
 
 // assertBitIdentical demands the same sorted coordinates and identical

@@ -178,11 +178,12 @@ func resolveBudget(b int64, p model.Platform) int64 {
 	}
 }
 
-// SetShardBudget sets the process-wide shard-cache byte budget directly and
-// enforces it immediately; bytes <= 0 disables eviction. Engine runs re-apply
-// their own Config-derived budget, so direct calls matter mostly for tests
-// and for trimming between runs.
-func SetShardBudget(bytes int64) {
+// setShardBudget sets the process-wide shard-cache byte budget directly and
+// enforces it immediately; bytes <= 0 disables eviction. The setting lasts
+// only until the next ContractOperands, which re-applies its own
+// Config-derived budget; tests use it to force or lift eviction between
+// runs.
+func setShardBudget(bytes int64) {
 	if bytes < 0 {
 		bytes = 0
 	}

@@ -54,7 +54,7 @@ func TestEvictionSkipsPinnedShards(t *testing.T) {
 	s, _ := op.Shard(key, 2)
 
 	// A 1-byte budget demands eviction of everything — but the pin must hold.
-	SetShardBudget(1)
+	setShardBudget(1)
 	if !op.Cached(key) {
 		t.Fatal("pinned shard was evicted")
 	}
@@ -70,7 +70,7 @@ func TestEvictionSkipsPinnedShards(t *testing.T) {
 
 	before := CacheStats()
 	s.Unpin()
-	SetShardBudget(1) // re-enforce now that the pin is gone
+	setShardBudget(1) // re-enforce now that the pin is gone
 	if op.Cached(key) {
 		t.Fatal("unpinned shard survived a 1-byte budget")
 	}
@@ -81,7 +81,7 @@ func TestEvictionSkipsPinnedShards(t *testing.T) {
 	if after.EvictedBytes <= before.EvictedBytes {
 		t.Fatalf("EvictedBytes did not grow (%d -> %d)", before.EvictedBytes, after.EvictedBytes)
 	}
-	SetShardBudget(-1) // back to unlimited for the rest of the binary
+	setShardBudget(-1) // back to unlimited for the rest of the binary
 }
 
 func TestCloseDropsAndRebuilds(t *testing.T) {
@@ -148,11 +148,11 @@ func TestWarmHoldsNoPin(t *testing.T) {
 		t.Fatal("second Warm rebuilt a cached shard")
 	}
 	// Warm left no pin behind, so a squeeze must reclaim the shard.
-	SetShardBudget(1)
+	setShardBudget(1)
 	if op.Cached(key) {
 		t.Fatal("warmed shard survived a 1-byte budget: Warm leaked a pin")
 	}
-	SetShardBudget(-1)
+	setShardBudget(-1)
 }
 
 func TestCacheChargeReturnsToBaseline(t *testing.T) {

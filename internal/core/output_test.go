@@ -46,7 +46,7 @@ func assertSameOrder(t *testing.T, what string, want, got *coo.Tensor) {
 // the spill tier.
 func TestOutputOrderDeterministic(t *testing.T) {
 	enableSpill(t, 0)
-	defer SetShardBudget(-1)
+	defer setShardBudget(-1)
 	rng := rand.New(rand.NewSource(4242))
 	// 300/17 and 260/32 leave partial edge tiles; the tiny-LLC platform
 	// makes the block schedule (and so the worker-to-task mapping) vary
@@ -104,7 +104,7 @@ func TestOutputOrderDeterministic(t *testing.T) {
 			run(tag+" cold", false)
 			run(tag+" reused", true)
 			before := CacheStats()
-			SetShardBudget(1) // spill both shards; the next run reloads them
+			setShardBudget(1) // spill both shards; the next run reloads them
 			run(tag+" spill-reloaded", true)
 			if d := CacheStats().SpillReads - before.SpillReads; d < 2 {
 				t.Fatalf("%s %s: %d spill reads, want both shards reloaded", c.name, tag, d)

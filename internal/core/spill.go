@@ -68,21 +68,6 @@ func ConfigureSpill(dir string, budget int64, keep bool) error {
 	return nil
 }
 
-// configureSpill applies one run Config's spill settings. An empty SpillDir
-// means "leave the process-wide configuration alone" (so tenanted server
-// runs do not disturb the daemon's keep-mode setup), not "disable" — that
-// is ConfigureSpill's job.
-func configureSpill(dir string, budget int64) error {
-	if dir == "" {
-		return nil
-	}
-	if cur := spillDirPtr.Load(); cur != nil && cur.Path() == dir {
-		cur.SetBudget(budget)
-		return nil
-	}
-	return ConfigureSpill(dir, budget, false)
-}
-
 // SpillDirStats reports the disk-tier gauges of the configured spill
 // directory (zeros when the tier is off): file count, summed bytes, and
 // files the startup scavenge deleted.

@@ -87,7 +87,7 @@ func TestSpillEquivalence(t *testing.T) {
 		// Force-evict everything; with the disk tier enabled every victim
 		// must spill instead of being thrown away.
 		before := CacheStats()
-		SetShardBudget(1)
+		setShardBudget(1)
 		after := CacheStats()
 		if after.SpillWrites-before.SpillWrites < 2 {
 			t.Fatalf("%s: eviction spilled %d shards, want both operands'",
@@ -111,7 +111,7 @@ func TestSpillEquivalence(t *testing.T) {
 		l.Close()
 		r.Close()
 	}
-	SetShardBudget(-1)
+	setShardBudget(-1)
 }
 
 // TestSpillFaultFallback corrupts the on-disk spill files every way the
@@ -185,8 +185,8 @@ func TestSpillFaultFallback(t *testing.T) {
 				return out, st
 			}
 			cold, _ := run()
-			SetShardBudget(1)
-			defer SetShardBudget(-1)
+			setShardBudget(1)
+			defer setShardBudget(-1)
 
 			files := spillFiles(t, dir)
 			if len(files) != 2 {
@@ -283,8 +283,8 @@ func TestSpillAdoption(t *testing.T) {
 
 	l1, r1 := NewKeyedOperand(lm, "adopt-left"), NewKeyedOperand(rm, "adopt-right")
 	cold, _ := run(l1, r1)
-	SetShardBudget(1) // spill both shards under their content keys
-	defer SetShardBudget(-1)
+	setShardBudget(1) // spill both shards under their content keys
+	defer setShardBudget(-1)
 	l1.Close()
 	r1.Close() // keep-mode Close leaves the files as adoptable orphans
 

@@ -18,7 +18,7 @@ func tenantCleanup(t *testing.T, ids ...string) {
 		for _, id := range ids {
 			DropTenant(id)
 		}
-		SetShardBudget(-1)
+		setShardBudget(-1)
 	})
 }
 
@@ -108,7 +108,7 @@ func TestGlobalEvictionPrefersOverQuotaTenants(t *testing.T) {
 
 	// Baseline: run with an unlimited budget so the builds themselves don't
 	// evict anything.
-	SetShardBudget(-1)
+	setShardBudget(-1)
 
 	// modest's shard is OLDER (colder) than glut's: plain LRU would evict
 	// modest first. The quota preference must reverse that.
@@ -122,7 +122,7 @@ func TestGlobalEvictionPrefersOverQuotaTenants(t *testing.T) {
 
 	// A budget that can hold modest's shard but not both: the victim must
 	// be glut's, despite being the more recently used.
-	SetShardBudget(sb.bytes + sa.bytes - 1)
+	setShardBudget(sb.bytes + sa.bytes - 1)
 	if opA.Cached(key) {
 		t.Fatal("over-quota tenant's shard survived the budget squeeze")
 	}

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"fastcc"
 	"fastcc/internal/coo"
 	"fastcc/internal/gen"
 	"fastcc/internal/model"
@@ -212,15 +211,6 @@ func (t *table) render(w io.Writer) {
 
 // secs renders a duration in seconds with three significant decimals.
 func secs(d time.Duration) string { return fmt.Sprintf("%.4f", d.Seconds()) }
-
-// fastccOpts assembles the common option set.
-func fastccOpts(cfg Config, extra ...fastcc.Option) []fastcc.Option {
-	opts := []fastcc.Option{
-		fastcc.WithThreads(cfg.Threads),
-		fastcc.WithPlatform(cfg.Platform),
-	}
-	return append(opts, extra...)
-}
 
 // renderCSV emits the table as RFC-4180-ish CSV (fields with commas or
 // quotes are quoted) for downstream plotting.

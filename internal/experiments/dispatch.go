@@ -25,9 +25,6 @@ var registry = []experiment{
 	{"ablate", func(c Config, _ string) error { return RunAblations(c) }},
 	{"model", func(c Config, _ string) error { return RunModelAccuracy(c) }},
 	{"phases", func(c Config, _ string) error { return RunPhases(c) }},
-	{"reuse", func(c Config, _ string) error { return RunReuse(c) }},
-	{"buildscale", func(c Config, _ string) error { return RunBuildScale(c) }},
-	{"spill", func(c Config, _ string) error { return RunSpill(c) }},
 }
 
 // Names lists the available experiments in stable order.

@@ -11,13 +11,15 @@ import (
 )
 
 // runFastCC times a full FaSTCC contraction (linearize → contract →
-// delinearize) and returns the output of the last repeat.
+// delinearize) at the config's threads and platform plus any extra options,
+// and returns the output of the last repeat.
 func runFastCC(cfg Config, l, r *coo.Tensor, spec coo.Spec, extra ...fastcc.Option) (*coo.Tensor, *fastcc.Stats, time.Duration, error) {
+	opts := append([]fastcc.Option{fastcc.WithThreads(cfg.Threads), fastcc.WithPlatform(cfg.Platform)}, extra...)
 	var out *coo.Tensor
 	var stats *fastcc.Stats
 	d, err := timeIt(cfg, func() error {
 		var err error
-		out, stats, err = fastcc.Contract(l, r, spec, fastccOpts(cfg, extra...)...)
+		out, stats, err = fastcc.Contract(l, r, spec, opts...)
 		return err
 	})
 	return out, stats, d, err

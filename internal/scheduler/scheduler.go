@@ -1,12 +1,15 @@
-// Package scheduler provides the two parallel skeletons FaSTCC needs
-// (paper Section 4.2):
+// Package scheduler provides the parallel skeletons FaSTCC needs (paper
+// Section 4.2):
 //
-//   - Teams: two worker teams running concurrently (the paper's nested
-//     OpenMP parallel regions where half the threads build HL and half
-//     build HR);
 //   - Pool: a dynamic task queue over an index range, the Go substitute for
 //     Taskflow — tasks are claimed with an atomic ticket so load imbalance
-//     between tile-tile contractions is absorbed at run time.
+//     between tile-tile contractions is absorbed at run time;
+//   - Static: a fixed worker team that partitions its own index range (the
+//     cyclic tile ownership of the hash build).
+//
+// The paper's nested parallel regions, where half the threads build HL and
+// half build HR, need no skeleton: the engine runs the two builds on two
+// goroutines, each a Static team of its share of the workers.
 package scheduler
 
 import (
@@ -22,35 +25,6 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// Teams runs two functions concurrently, each with a team of workers. With
-// n total workers, team A gets ceil(n/2) and team B gets the rest (minimum
-// one each). Each worker invocation receives its worker id and team size;
-// Teams returns when all workers of both teams finish.
-func Teams(n int, teamA, teamB func(worker, teamSize int)) {
-	n = Workers(n)
-	sizeA := (n + 1) / 2
-	sizeB := n - sizeA
-	if sizeB == 0 {
-		sizeB = 1 // run teams sequentially-concurrent with one worker each
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < sizeA; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			teamA(w, sizeA)
-		}(w)
-	}
-	for w := 0; w < sizeB; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			teamB(w, sizeB)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Pool runs fn(worker, task) for every task in [0, tasks), claimed

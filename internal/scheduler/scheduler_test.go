@@ -115,35 +115,6 @@ func TestPoolWorkerIDsBounded(t *testing.T) {
 	}
 }
 
-func TestTeamsBothRunAndSizesPartition(t *testing.T) {
-	var aRuns, bRuns atomic.Int32
-	var aSize, bSize atomic.Int32
-	Teams(5, func(w, size int) {
-		aRuns.Add(1)
-		aSize.Store(int32(size))
-		if w < 0 || w >= size {
-			t.Errorf("team A worker %d of %d", w, size)
-		}
-	}, func(w, size int) {
-		bRuns.Add(1)
-		bSize.Store(int32(size))
-	})
-	if aSize.Load() != 3 || bSize.Load() != 2 {
-		t.Fatalf("team sizes %d/%d want 3/2", aSize.Load(), bSize.Load())
-	}
-	if aRuns.Load() != 3 || bRuns.Load() != 2 {
-		t.Fatalf("team runs %d/%d", aRuns.Load(), bRuns.Load())
-	}
-}
-
-func TestTeamsSingleWorker(t *testing.T) {
-	var a, b atomic.Int32
-	Teams(1, func(_, size int) { a.Store(int32(size)) }, func(_, size int) { b.Store(int32(size)) })
-	if a.Load() != 1 || b.Load() != 1 {
-		t.Fatalf("teams with one worker: %d/%d", a.Load(), b.Load())
-	}
-}
-
 func TestStaticPartition(t *testing.T) {
 	const n = 100
 	var owner [n]atomic.Int32

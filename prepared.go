@@ -222,8 +222,6 @@ func contractSharded(l, r *Sharded, o *options, linearize time.Duration) (*Tenso
 		Context:     o.ctx,
 		CacheBudget: o.shardBudget,
 		Tenant:      o.tenant,
-		SpillDir:    o.spillDir,
-		SpillBudget: o.spillBudget,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -42,6 +42,9 @@ func TestContractPreparedMatchesContract(t *testing.T) {
 	if coldSt.ShardReused {
 		t.Fatal("cold run should not report a full shard hit")
 	}
+	if coldSt.Build <= 0 {
+		t.Fatalf("cold run reports Build=%v, want > 0", coldSt.Build)
+	}
 	warm, warmSt, err := ContractPrepared(ls, rs, WithThreads(3))
 	if err != nil {
 		t.Fatal(err)

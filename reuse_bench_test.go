@@ -1,7 +1,7 @@
 // Benchmarks for the prepared-operand API: what Preshard/ContractPrepared
 // amortize relative to the one-shot Contract path on a FROSTT-shaped
-// self-contraction. `make bench-reuse` regenerates BENCH_reuse.json from
-// the same comparison at experiment scale.
+// self-contraction. `make bench-smoke` runs one iteration of each, so the
+// warm path's Build == 0 and ShardReused assertions gate CI.
 package fastcc_test
 
 import (
