@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke serve-smoke ci
+.PHONY: build test test-checked race vet vet-self test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,12 @@ bench-smoke:
 	$(GO) test -bench=OutputPath -benchtime=1x -run=^$$ ./internal/core
 	$(GO) test -bench=TilePair -benchtime=1x -run=^$$ ./internal/core
 
+# The benchmark harness's own tests. perfbench/ is a separate module (it
+# builds against this checkout through a replace directive), so `go test
+# ./...` at the root does not reach it.
+bench-test:
+	cd perfbench && $(GO) test ./...
+
 # End-to-end daemon gate: build fastcc-serve and fastcc-client, start the
 # daemon on a free port with a deliberately small cache budget and tenant
 # quota, run the scripted upload -> contract -> fetch round-trip (results
@@ -110,4 +116,4 @@ serve-smoke:
 	$(GO) build -o bin/fastcc-client ./cmd/fastcc-client
 	sh tools/serve_smoke.sh bin
 
-ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke serve-smoke
+ci: build vet vet-self test test-checked race test-lifecycle test-spill fuzz-smoke bench-smoke bench-test serve-smoke

@@ -123,9 +123,9 @@ func (s *Stats) String() string {
 		reuse = " shards=reusedR"
 	}
 	return fmt.Sprintf(
-		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d tasks=%d block=%dx%d threads=%d out_nnz=%d%s\n"+
+		"fastcc: accumulator=%s tile=%dx%d grid=%dx%d slack=%d tasks=%d block=%dx%d threads=%d out_nnz=%d%s\n"+
 			"fastcc: total=%v (linearize=%v build=%v contract=%v concat=%v delinearize=%v)",
-		s.Decision.Kind, s.TileL, s.TileR, s.NL, s.NR, s.Tasks, s.BlockL, s.BlockR, s.Threads, s.OutputNNZ, reuse,
+		s.Decision.Kind, s.TileL, s.TileR, s.NL, s.NR, s.Decision.SlackHalvings, s.Tasks, s.BlockL, s.BlockR, s.Threads, s.OutputNNZ, reuse,
 		s.Total, s.Linearize, s.Build, s.Contract, s.Concat, s.Delinearize)
 }
 
@@ -226,11 +226,19 @@ func validTenant(id string) error {
 // Option configures Contract.
 type Option func(*options)
 
-// WithThreads sets the worker count (default: GOMAXPROCS).
+// WithThreads sets the number of workers a run uses in total (default:
+// GOMAXPROCS). The build, contract and output passes never run more than n
+// at a time; at n = 1 the two operands build one after the other on the
+// caller's goroutine. The thread count does not change the tiles: the
+// model sizes them from the platform's cores (WithPlatform), so a
+// contraction's shards and its output bits are the same at every n.
 func WithThreads(n int) Option { return func(o *options) { o.threads = n } }
 
 // WithTileSize overrides the model's tile sizes. With a dense accumulator
-// tr must be a power of two. Zero leaves a dimension model-chosen.
+// tr must be a power of two. Zero leaves a dimension model-chosen. An
+// override is used as given: the model's parallel-slack step, which halves
+// cache-sized tiles until every core has tile tasks, never splits it, and
+// Stats.Decision.SlackHalvings reads zero.
 func WithTileSize(tl, tr uint64) Option {
 	return func(o *options) { o.tileL, o.tileR = tl, tr }
 }

@@ -1,6 +1,7 @@
 package fastcc
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -263,5 +264,23 @@ func TestBTNSStreamHelpers(t *testing.T) {
 	}
 	if !Equal(a, got) {
 		t.Fatal("stream round trip mismatch")
+	}
+}
+
+// TestStatsStringShowsSlack checks that a run the model's parallel-slack
+// step split says so in its log line, next to the grid it produced.
+func TestStatsStringShowsSlack(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := randomTensor(rng, []uint64{300, 40}, 3000)
+	_, st, err := SelfContract(a, []int{1}, WithThreads(2), WithPlatform(Desktop8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Decision.SlackHalvings == 0 {
+		t.Fatalf("expected the slack step to split a one-tile contraction: %v", st)
+	}
+	want := fmt.Sprintf("grid=%dx%d slack=%d ", st.NL, st.NR, st.Decision.SlackHalvings)
+	if !strings.Contains(st.String(), want) {
+		t.Fatalf("Stats.String() = %q, want it to contain %q", st.String(), want)
 	}
 }

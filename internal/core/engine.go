@@ -34,7 +34,8 @@ import (
 type Config struct {
 	// Threads is the worker count; <= 0 means GOMAXPROCS.
 	Threads int
-	// TileL/TileR override the model's tile sizes when nonzero. TileR must
+	// TileL/TileR override the model's tile sizes when nonzero and are used
+	// as given, never split by the model's parallel-slack step. TileR must
 	// be a power of two when a dense accumulator is used.
 	TileL, TileR uint64
 	// Accum forces the accumulator kind; AccumAuto defers to the model.
@@ -215,6 +216,11 @@ func plan(l, r *coo.Matrix, cfg Config) (model.Decision, error) {
 		return model.Decision{}, err
 	}
 	dec = dec.ForceKind(cfg.Accum, in, cfg.Platform)
+	// Overrides are used as given. The slack count describes the model's
+	// grid, which an overridden run does not use.
+	if cfg.TileL != 0 || cfg.TileR != 0 {
+		dec.SlackHalvings = 0
+	}
 	if cfg.TileL != 0 {
 		dec.TileL = cfg.TileL
 	}
@@ -242,25 +248,15 @@ func plan(l, r *coo.Matrix, cfg Config) (model.Decision, error) {
 
 // buildShards fetches or builds both operands' shards. When both need
 // building they share the worker budget (the paper's two build teams,
-// Section 4.2); when one side is already cached, the other gets every
-// worker. A self-contraction sharing one Operand with one key builds once.
+// Section 4.2; see buildTeams); when one side is already cached, the other
+// gets every worker. A self-contraction sharing one Operand with one key
+// builds once.
 func buildShards(l, r *Operand, keyL, keyR ShardKey, threads int, st *Stats) (ls, rs *Shard, builtL, builtR bool) {
 	t0 := time.Now()
 	if l == r && keyL == keyR {
 		ls, builtL = l.Shard(keyL, threads)
 		rs = ls
-	} else {
-		thL := (threads + 1) / 2
-		thR := threads - thL
-		if thR == 0 {
-			thR = 1
-		}
-		if l.Cached(keyL) {
-			thR = threads
-		}
-		if r.Cached(keyR) {
-			thL = threads
-		}
+	} else if thL, thR, concurrent := buildTeams(threads, l.Cached(keyL), r.Cached(keyR)); concurrent {
 		done := make(chan struct{})
 		go func() {
 			rs, builtR = r.Shard(keyR, thR)
@@ -268,11 +264,28 @@ func buildShards(l, r *Operand, keyL, keyR ShardKey, threads int, st *Stats) (ls
 		}()
 		ls, builtL = l.Shard(keyL, thL)
 		<-done
+	} else {
+		ls, builtL = l.Shard(keyL, thL)
+		rs, builtR = r.Shard(keyR, thR)
 	}
 	if builtL || builtR {
 		st.BuildTime = time.Since(t0)
 	}
 	return ls, rs, builtL, builtR
+}
+
+// buildTeams sizes the two operands' build teams and says whether the two
+// Shard calls run at once. They do only when both sides build and there
+// are two or more workers, which are then split between the sides.
+// Otherwise the calls run one after the other on the caller's goroutine,
+// each with every worker, so a run never has more builders at a time than
+// its thread count.
+func buildTeams(threads int, cachedL, cachedR bool) (thL, thR int, concurrent bool) {
+	if threads <= 1 || cachedL || cachedR {
+		return threads, threads, false
+	}
+	thL = (threads + 1) / 2
+	return thL, threads - thL, true
 }
 
 // execute runs the tile-task contraction over two built shards — steps 2-4

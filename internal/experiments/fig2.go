@@ -58,11 +58,16 @@ func RunFig2(cfg Config, suite string) error {
 }
 
 // sweepTileSizes returns the tile sides to try around the model decision.
-// Dense sweeps are capped so per-worker accumulators stay modest.
+// Dense sweeps are capped so per-worker accumulators stay modest, and reach
+// down past a model tile the parallel-slack step shrank below 64.
 func sweepTileSizes(dec model.Decision) []uint64 {
 	var out []uint64
 	if dec.Kind == model.AccumDense {
-		for t := uint64(64); t <= 2048; t *= 2 {
+		lo := uint64(64)
+		if dec.TileL < lo {
+			lo = max(dec.TileL/2, 16)
+		}
+		for t := lo; t <= 2048; t *= 2 {
 			out = append(out, t)
 		}
 		return out

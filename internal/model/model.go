@@ -58,6 +58,11 @@ type Decision struct {
 	// DenseT is the cache-derived dense tile side sqrt(L3/(Ncores·DT))
 	// rounded down to a power of two (Section 6.2).
 	DenseT uint64
+	// SlackHalvings counts the tile-side halvings the parallel-slack step
+	// made after Algorithm 7 sized the tiles (see applySlack): the tile
+	// area shrank by 2^SlackHalvings. Zero when the cache-sized grid
+	// already had enough tiles for every core.
+	SlackHalvings int
 }
 
 // EstimateOutputDensity computes Φ_res = 1 - (1 - pL·pR)^C under the
@@ -138,6 +143,7 @@ func Decide(in Inputs, p Platform) (Decision, error) {
 	}
 	d.TileL = clampTile(d.TileL, in.LDim)
 	d.TileR = clampTile(d.TileR, in.RDim)
+	d.applySlack(in, p)
 	return d, nil
 }
 
@@ -159,7 +165,7 @@ func clampTile(t, dim uint64) uint64 {
 // ForceKind returns the decision with the accumulator kind overridden and
 // the tile sizes recomputed for that kind (forcing dense on a
 // sparse-decided contraction must not keep the huge sparse tile, and vice
-// versa).
+// versa), parallel slack included.
 func (d Decision) ForceKind(kind AccumKind, in Inputs, p Platform) Decision {
 	if kind == AccumAuto || kind == d.Kind {
 		return d
@@ -174,7 +180,96 @@ func (d Decision) ForceKind(kind AccumKind, in Inputs, p Platform) Decision {
 	}
 	d.TileL = clampTile(d.TileL, in.LDim)
 	d.TileR = clampTile(d.TileR, in.RDim)
+	d.SlackHalvings = 0
+	d.applySlack(in, p)
 	return d
+}
+
+// minSlackSide is the smallest tile side the parallel-slack step halves
+// down to: below it a tile task's fixed costs (claim, accumulator reset,
+// drain) outweigh the work it carries.
+const minSlackSide = 16
+
+// applySlack is the parallel-slack step that follows Algorithm 7. The
+// algorithm sizes tiles from cache capacity alone, so a contraction whose
+// output space fits in a few cache-sized tiles runs as one or two tile
+// tasks and leaves cores idle. While the tile grid has fewer than
+// blockBalanceFactor tiles per core — the same tasks-per-worker constant
+// the blocked schedule keeps — the larger tile side is halved, or both
+// when they are equal, so equal extents keep equal tiles and a
+// self-contraction keeps one shard. Halving keeps TileR a power of two.
+//
+// Three floors stop the halving:
+//   - the larger side stays at least minSlackSide (sides are powers of
+//     two, so a halved side never drops below it);
+//   - a dense tile is not halved below one expected nonzero
+//     (PNonzero·TileL·TileR >= 1);
+//   - the grid's expected key probes stay within the contraction's
+//     expected multiply-adds (probesWithinWork). Every tile pair probes
+//     the keys of its smaller side, so splitting both sides g ways
+//     multiplies the probes by about g while the multiply-adds stay put.
+//     A probe-bound contraction would pay that extra work on every run,
+//     and in full on a one-thread run, for parallelism it cannot use.
+//
+// The rule reads the platform's cores, never the run's thread count, so a
+// contraction gets the same tiles at every thread count: its shards are
+// reused by runs at any thread count, and its output is bit-identical
+// across them.
+func (d *Decision) applySlack(in Inputs, p Platform) {
+	target := uint64(blockBalanceFactor) * uint64(p.Cores)
+	for !enoughTiles(in, d.TileL, d.TileR, target) {
+		tl, tr := d.TileL, d.TileR
+		n := 0
+		if tl >= d.TileR {
+			tl /= 2
+			n++
+		}
+		if tr >= d.TileL {
+			tr /= 2
+			n++
+		}
+		if max(tl, tr) < minSlackSide {
+			return
+		}
+		if d.Kind == AccumDense && d.PNonzero*float64(tl)*float64(tr) < 1 {
+			return
+		}
+		if !probesWithinWork(in, tl, tr) {
+			return
+		}
+		d.TileL, d.TileR = tl, tr
+		d.SlackHalvings += n
+	}
+}
+
+// enoughTiles reports whether a tl×tr tiling of the L×R output space has
+// at least target tiles. Either axis alone reaching target settles it, so
+// the product is only formed below target·target and cannot wrap.
+func enoughTiles(in Inputs, tl, tr, target uint64) bool {
+	nl, nr := tiles(in.LDim, tl), tiles(in.RDim, tr)
+	return nl >= target || nr >= target || nl*nr >= target
+}
+
+// probesWithinWork reports whether a tl×tr grid's expected key probes —
+// per tile pair, the distinct keys of the side with fewer (the side the
+// hash loop iterates) — stay within the expected multiply-adds
+// NNZL·NNZR/CDim, under the uniform-nonzeros assumption of Section 5.1.
+func probesWithinWork(in Inputs, tl, tr uint64) bool {
+	nl, nr := tiles(in.LDim, tl), tiles(in.RDim, tr)
+	kl := ExpectedDistinctKeys(int(uint64(in.NNZL)/nl), in.CDim)
+	kr := ExpectedDistinctKeys(int(uint64(in.NNZR)/nr), in.CDim)
+	probes := float64(nl) * float64(nr) * float64(min(kl, kr))
+	return probes <= float64(in.NNZL)*float64(in.NNZR)/float64(in.CDim)
+}
+
+// tiles returns the tile count along one axis, ceil(dim/tile), without the
+// dim+tile-1 overflow.
+func tiles(dim, tile uint64) uint64 {
+	n := dim / tile
+	if dim%tile != 0 {
+		n++
+	}
+	return n
 }
 
 // ExpectedOutputNNZ returns the model's estimate of total output nonzeros.

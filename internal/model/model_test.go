@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -257,4 +258,142 @@ func TestForceKind(t *testing.T) {
 	if back.TileL <= back.DenseT {
 		t.Fatalf("sparse tile %d should exceed dense bound %d", back.TileL, back.DenseT)
 	}
+}
+
+// TestSlackProperty checks the parallel-slack step over random contraction
+// statistics and core counts, for the model's own decision and for both
+// forced kinds: the tile grid reaches blockBalanceFactor tiles per core
+// unless a floor stops the next halving, no halving breaks a floor, equal
+// extents keep equal tiles, sides stay powers of two, the halvings account
+// for the whole shrink of the cache-sized tile, and the ENNZ/Kind
+// consistency of Algorithm 7 holds.
+func TestSlackProperty(t *testing.T) {
+	logUniform := func(rng *rand.Rand, maxLog2 int) uint64 {
+		return 1 + rng.Uint64()%(uint64(1)<<(1+rng.Intn(maxLog2)))
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		in := Inputs{
+			NNZL: int64(logUniform(rng, 24)), NNZR: int64(logUniform(rng, 24)),
+			LDim: logUniform(rng, 36), RDim: logUniform(rng, 36), CDim: logUniform(rng, 20),
+		}
+		if rng.Intn(2) == 0 {
+			in.RDim, in.NNZR = in.LDim, in.NNZL
+		}
+		cores := 1 + rng.Intn(64)
+		p := Platform{Name: "q", Cores: cores, L3Bytes: int64(cores) * int64(1+rng.Intn(8)) << 20, WordBytes: 8}
+		d, err := Decide(in, p)
+		if err != nil {
+			t.Logf("Decide(%+v): %v", in, err)
+			return false
+		}
+		for i, dd := range []Decision{d, d.ForceKind(AccumDense, in, p), d.ForceKind(AccumSparse, in, p)} {
+			if msg := slackViolation(dd, in, p, i > 0); msg != "" {
+				t.Logf("%s: in=%+v cores=%d L3=%d decision=%+v", msg, in, p.Cores, p.L3Bytes, dd)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlackStopsAtProbeBoundContractions pins the slack decisions of two
+// FROSTT self-contractions at the repository's 0.01 scale on a two-core
+// platform. nips-2 still does about 20 multiply-adds per key probe on a
+// 4×4 grid, so its one sparse tile splits into that grid. vast-014
+// matches each key about once; a 3×3 grid would double its probes, so it
+// keeps its one tile.
+func TestSlackStopsAtProbeBoundContractions(t *testing.T) {
+	p := Platform{Name: "2c", Cores: 2, L3Bytes: 4 << 20, WordBytes: 8}
+	cases := []struct {
+		name     string
+		in       Inputs
+		tile     uint64
+		halvings int
+	}{
+		{"nips-2", Inputs{NNZL: 31016, NNZR: 31016, LDim: 3552125, RDim: 3552125, CDim: 4439}, 1 << 20, 4},
+		{"vast-014", Inputs{NNZL: 260219, NNZR: 260219, LDim: 80, RDim: 80, CDim: 10437175840}, 128, 0},
+	}
+	for _, c := range cases {
+		d, err := Decide(c.in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.TileL != c.tile || d.TileR != c.tile || d.SlackHalvings != c.halvings {
+			t.Errorf("%s: tile %dx%d after %d halvings, want %d after %d", c.name, d.TileL, d.TileR, d.SlackHalvings, c.tile, c.halvings)
+		}
+	}
+}
+
+func TestProbesWithinWork(t *testing.T) {
+	// 1000 nonzeros a side over 100 keys: 10 000 expected multiply-adds.
+	in := Inputs{NNZL: 1000, NNZR: 1000, LDim: 1000, RDim: 1000, CDim: 100}
+	// 10×10 tiles of 100 nonzeros hold about 64 distinct keys each:
+	// 6400 probes.
+	if !probesWithinWork(in, 100, 100) {
+		t.Error("10×10 grid: 6400 probes should fit 10 000 multiply-adds")
+	}
+	// 20×20 tiles of 50 nonzeros hold about 40: 16 000 probes.
+	if probesWithinWork(in, 50, 50) {
+		t.Error("20×20 grid: 16 000 probes should exceed 10 000 multiply-adds")
+	}
+}
+
+// slackViolation returns which slack invariant d breaks, or "". forced
+// marks a ForceKind decision, whose kind need not follow ENNZ.
+func slackViolation(d Decision, in Inputs, p Platform, forced bool) string {
+	isPow2 := func(x uint64) bool { return x > 0 && x&(x-1) == 0 }
+	if !isPow2(d.TileL) || !isPow2(d.TileR) {
+		return "tile side not a power of two"
+	}
+	if in.LDim == in.RDim && d.TileL != d.TileR {
+		return "equal extents gave unequal tiles"
+	}
+	if d.ENNZ != d.PNonzero*float64(d.DenseT)*float64(d.DenseT) {
+		return "ENNZ is not PNonzero·DenseT²"
+	}
+	if !forced && (d.ENNZ >= 1) != (d.Kind == AccumDense) {
+		return "kind does not follow ENNZ >= 1"
+	}
+	// The cache-sized tile of d's kind, clamped to the extents, shrinks
+	// by exactly 2^SlackHalvings.
+	cache := d.DenseT
+	if d.Kind == AccumSparse {
+		cache = SparseTileSide(p, d.PNonzero)
+	}
+	cl, cr := clampTile(cache, in.LDim), clampTile(cache, in.RDim)
+	if float64(d.TileL)*float64(d.TileR)*math.Ldexp(1, d.SlackHalvings) != float64(cl)*float64(cr) {
+		return "halvings do not account for the tile shrink"
+	}
+	if d.TileL < min(cl, minSlackSide) || d.TileR < min(cr, minSlackSide) {
+		return "a side was halved below the floor"
+	}
+	if d.SlackHalvings > 0 && d.Kind == AccumDense && d.PNonzero*float64(d.TileL)*float64(d.TileR) < 1 {
+		return "a dense tile was halved below one expected nonzero"
+	}
+	if d.SlackHalvings > 0 && !probesWithinWork(in, d.TileL, d.TileR) {
+		return "a halving made the key probes outgrow the multiply-adds"
+	}
+	target := float64(blockBalanceFactor * p.Cores)
+	grid := math.Ceil(float64(in.LDim)/float64(d.TileL)) * math.Ceil(float64(in.RDim)/float64(d.TileR))
+	if grid >= target {
+		return ""
+	}
+	// Short of the target: the next halving must break a floor.
+	ntl, ntr := d.TileL, d.TileR
+	if d.TileL >= d.TileR {
+		ntl /= 2
+	}
+	if d.TileR >= d.TileL {
+		ntr /= 2
+	}
+	if max(d.TileL, d.TileR)/2 < minSlackSide ||
+		d.Kind == AccumDense && d.PNonzero*float64(ntl)*float64(ntr) < 1 ||
+		!probesWithinWork(in, ntl, ntr) {
+		return ""
+	}
+	return "grid short of target with no floor reached"
 }

@@ -1,7 +1,8 @@
 // Package model implements FaSTCC's probabilistic modeling (paper Section 5
 // and Algorithm 7): it estimates the output tensor's density from the input
 // densities, chooses between a dense and a sparse tile accumulator, and
-// selects the tile size from the platform's last-level-cache capacity.
+// selects the tile size from the platform's last-level-cache capacity,
+// then splits cache-sized tiles until every core has tile tasks.
 package model
 
 import (

@@ -75,10 +75,10 @@ type FS interface {
 // OS is the production FS: plain os package calls.
 type OS struct{}
 
-func (OS) ReadFile(name string) ([]byte, error)    { return os.ReadFile(name) }
-func (OS) WriteFile(name string, b []byte) error   { return os.WriteFile(name, b, 0o644) }
-func (OS) Remove(name string) error                { return os.Remove(name) }
-func (OS) MkdirAll(dir string) error               { return os.MkdirAll(dir, 0o755) }
+func (OS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
+func (OS) WriteFile(name string, b []byte) error { return os.WriteFile(name, b, 0o644) }
+func (OS) Remove(name string) error              { return os.Remove(name) }
+func (OS) MkdirAll(dir string) error             { return os.MkdirAll(dir, 0o755) }
 func (OS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -255,10 +255,14 @@ func (d *Dir) SetBudget(budget int64) {
 // fit under the budget, preferring orphans (nobody holds a claim) before
 // owned files (whose handles will observe ErrMissing and rebuild — the
 // documented graceful degradation, never a wrong answer). Reports whether
-// the room exists afterwards.
+// the room exists afterwards. A need larger than the whole budget can never
+// fit, so it reports false before deleting anything.
 func (d *Dir) makeRoomLocked(need int64) bool {
 	if d.budget <= 0 {
 		return true
+	}
+	if need > d.budget {
+		return false
 	}
 	for _, orphansOnly := range []bool{true, false} {
 		for d.bytes+need > d.budget {

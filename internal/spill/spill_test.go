@@ -161,6 +161,33 @@ func TestWriteOverBudget(t *testing.T) {
 	}
 }
 
+func TestOversizeWriteEvictsNothing(t *testing.T) {
+	d := openTestDir(t, 0, false)
+	h1, err := d.Write("k1-t8-r0"+Ext, 1, writeBody(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := d.Write("k2-t8-r0"+Ext, 2, writeBody(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetBudget(h1.Size() + h2.Size())
+	filesBefore, bytesBefore, _ := d.Stats()
+	// An image larger than the whole budget cannot fit however much is
+	// deleted, so the write must fail without emptying the tier.
+	if _, err := d.Write("k3-t8-r0"+Ext, 3, writeBody(1024)); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("oversize Write = %v, want ErrOverBudget", err)
+	}
+	if files, bytes, _ := d.Stats(); files != filesBefore || bytes != bytesBefore {
+		t.Fatalf("oversize Write changed Stats to (%d files, %d bytes), want (%d, %d)", files, bytes, filesBefore, bytesBefore)
+	}
+	for i, h := range []*Handle{h1, h2} {
+		if _, err := d.Read(h); err != nil {
+			t.Fatalf("file %d should survive an oversize write; Read = %v", i+1, err)
+		}
+	}
+}
+
 func TestBudgetMakesRoomOldestFirst(t *testing.T) {
 	d := openTestDir(t, 0, false)
 	h1, err := d.Write("k1-t8-r0"+Ext, 1, writeBody(256))
